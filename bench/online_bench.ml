@@ -4,8 +4,9 @@
    drop-with-retry). The protection routing is synthetic (one SPF detour
    per link, no LP solve — shared with Reconfig_bench) so the bench
    isolates the engine: delivery expansion, per-router version tracking,
-   and the memoized canonical-state folds. Every timed run also asserts
-   the terminal state is bit-identical to the batch replay.
+   and the memoized canonical-state folds with their per-state derived
+   values. Every timed run also asserts the terminal state is
+   bit-identical to the batch replay.
 
    Results go to stdout and BENCH_online.json.
 
@@ -37,7 +38,9 @@ let one_case ~repeats ~events name g channel =
   let schedule = Online.generate g ~seed:23 ~events ~max_concurrent:2 () in
   let n_events = List.length schedule in
   let run () = Online.run ~channel ~seed:23 root schedule in
+  let dp0 = R3_util.Metrics.counter_value "r3.online.dp_evals" in
   let o = run () in
+  let dp_evals = R3_util.Metrics.counter_value "r3.online.dp_evals" - dp0 in
   let cname = Online.Channel.name channel in
   check (name ^ "/" ^ cname ^ " order independence") o.Online.order_independent;
   let dt = R3_util.Timer.best_of ~repeats (fun () -> ignore (run ())) in
@@ -64,6 +67,7 @@ let one_case ~repeats ~events name g channel =
       ("drops", J.Int o.Online.stats.Online.drops);
       ("retries", J.Int o.Online.stats.Online.retries);
       ("distinct_states", J.Int o.Online.stats.Online.distinct_states);
+      ("dp_evals", J.Int dp_evals);
       ("seconds", J.Float dt);
       ("events_per_s", J.Float eps);
       ("convergence_p50_ms", J.Float p50);
@@ -75,22 +79,35 @@ let one_case ~repeats ~events name g channel =
 let run () =
   H.section "Online runtime: event throughput and convergence latency";
   if !H.smoke then begin
-    (* Tiny end-to-end pass for @bench-check: correctness checks only,
-       with per-router FIB maintenance switched on. *)
+    (* Small end-to-end pass for @bench-check: correctness checks, with
+       per-router FIB maintenance switched on, plus the memo guard — the
+       data-plane values and each router's ILM are computed at most once
+       per canonical state. The schedule is long enough that every router
+       accepts far more notifications than there are distinct states, so
+       recomputing per delivery would break the bounds. *)
+    let module M = R3_util.Metrics in
     let g = Topology.abilene () in
     let root =
       Reconfig_bench.make_state g ~backend:R3_net.Routing.Backend.Sparse
         ~seed:11
     in
-    let schedule = Online.generate g ~seed:5 ~events:10 ~max_concurrent:2 () in
+    let schedule = Online.generate g ~seed:5 ~events:200 ~max_concurrent:2 () in
     List.iter
       (fun channel ->
+        let dp0 = M.counter_value "r3.online.dp_evals"
+        and ilm0 = M.counter_value "r3.online.ilm_builds" in
         let o = Online.run ~channel ~seed:5 ~fibs:true root schedule in
+        let dp = M.counter_value "r3.online.dp_evals" - dp0
+        and ilm = M.counter_value "r3.online.ilm_builds" - ilm0 in
+        let states = o.Online.stats.Online.distinct_states in
         let cname = Online.Channel.name channel in
         check (cname ^ " order independence") o.Online.order_independent;
-        check (cname ^ " fib consistency") o.Online.fib_consistent)
+        check (cname ^ " fib consistency") o.Online.fib_consistent;
+        check (cname ^ " dp_evals <= distinct_states") (dp > 0 && dp <= states);
+        check
+          (cname ^ " ilm_builds <= distinct_states x routers")
+          (ilm > 0 && ilm <= states * G.num_nodes g))
       (channels ());
-    let module M = R3_util.Metrics in
     check "metrics: events recorded" (M.counter_value "r3.online.events" > 0);
     check "metrics: deliveries recorded"
       (M.counter_value "r3.online.deliveries" > 0);

@@ -145,15 +145,9 @@ let recover st sc =
 let apply_failures st links = List.fold_left fail_one st links
 
 let states_bit_identical a b =
-  let matrix_eq x y =
-    let bits m =
-      Array.map (Array.map Int64.bits_of_float) (Routing.to_dense_matrix m)
-    in
-    bits x = bits y
-  in
   a.failed = b.failed
-  && matrix_eq a.base b.base
-  && matrix_eq a.protection b.protection
+  && Routing.bit_identical a.base b.base
+  && Routing.bit_identical a.protection b.protection
 
 let loads st = Routing.loads st.graph ~demands:st.demands st.base
 
@@ -173,10 +167,9 @@ let delivered_fraction st =
   if total <= 0.0 then 1.0
   else begin
     let got = ref 0.0 in
-    Array.iteri
-      (fun k d ->
-        if d > 0.0 then
-          got := !got +. (d *. Routing.delivered st.graph st.base k))
-      st.demands;
+    for k = 0 to Array.length st.demands - 1 do
+      let d = st.demands.(k) in
+      if d > 0.0 then got := !got +. (d *. Routing.delivered st.graph st.base k)
+    done;
     !got /. total
   end

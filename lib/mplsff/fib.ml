@@ -26,23 +26,29 @@ let link_of_label l = l - label_base
 let router_ilm g p router =
   let ilm = Hashtbl.create 16 in
   let out = G.out_links g router in
-  let m = G.num_links g in
-  for l = 0 to m - 1 do
+  let cand = Array.make (Array.length out) 0 in
+  let share = Array.make (Array.length out) 0.0 in
+  for l = 0 to G.num_links g - 1 do
     (* Ratios over outgoing links; at the protected link's head the link
-       itself is excluded (it is the one being bypassed). *)
-    let candidates =
-      Array.to_list out
-      |> List.filter (fun e -> e <> l && Routing.get p l e > 1e-12)
-    in
-    let total =
-      List.fold_left (fun a e -> a +. Routing.get p l e) 0.0 candidates
-    in
-    if total > 1e-12 then begin
+       itself is excluded (it is the one being bypassed). Candidates are
+       summed in out-link order. *)
+    let k = ref 0 and total = ref 0.0 in
+    for i = 0 to Array.length out - 1 do
+      let e = out.(i) in
+      if e <> l then begin
+        let x = Routing.get p l e in
+        if x > 1e-12 then begin
+          cand.(!k) <- e;
+          share.(!k) <- x;
+          total := !total +. x;
+          incr k
+        end
+      end
+    done;
+    if !total > 1e-12 then begin
       let label = label_of_link l in
       let nhlfes =
-        candidates
-        |> List.map (fun e -> { out_link = e; ratio = Routing.get p l e /. total })
-        |> Array.of_list
+        Array.init !k (fun i -> { out_link = cand.(i); ratio = share.(i) /. !total })
       in
       Hashtbl.replace ilm label { label; nhlfes }
     end
@@ -58,12 +64,17 @@ let of_protection g p =
 
 let update t p = of_protection t.graph p
 
-let update_router t ~router p =
-  if Routing.num_commodities p <> G.num_links t.graph then
-    invalid_arg "Fib.update_router: protection must cover every link";
+let router_fib g p router =
+  if Routing.num_commodities p <> G.num_links g then
+    invalid_arg "Fib.router_fib: protection must cover every link";
+  { router; ilm = router_ilm g p router }
+
+let set_router t rf =
   let fibs = Array.copy t.fibs in
-  fibs.(router) <- { router; ilm = router_ilm t.graph p router };
+  fibs.(rf.router) <- rf;
   { t with fibs }
+
+let update_router t ~router p = set_router t (router_fib t.graph p router)
 
 let fwd_equal a b =
   a.label = b.label

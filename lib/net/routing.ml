@@ -576,9 +576,66 @@ let mean_delay g t k =
   iter_row t k (fun e x -> acc := !acc +. (x *. Graph.delay g e));
   !acc
 
+(* Plain loops over local accumulators: no closure captures them, so the
+   floats stay unboxed (this runs once per commodity per evaluated state). *)
 let delivered g t k =
   let _, b = t.prs.(k) in
+  let row = rget t.rows k in
+  let ins = Graph.in_links g b and outs = Graph.out_links g b in
   let inflow = ref 0.0 and outflow = ref 0.0 in
-  Array.iter (fun e -> inflow := !inflow +. get t k e) (Graph.in_links g b);
-  Array.iter (fun e -> outflow := !outflow +. get t k e) (Graph.out_links g b);
+  for i = 0 to Array.length ins - 1 do
+    inflow := !inflow +. payload_get row ins.(i)
+  done;
+  for i = 0 to Array.length outs - 1 do
+    outflow := !outflow +. payload_get row outs.(i)
+  done;
   !inflow -. !outflow
+
+(* ---- bit-level comparison ---- *)
+
+(* Bit-level row equality on native storage. A sparse row's dense image
+   holds its stored values verbatim and [+0.0] elsewhere, so an entry
+   present on one side only must be exactly [+0.0] (an explicit [-0.0]
+   differs), and dense/dense rows compare slot by slot. Only mixed pairs
+   pay a densification. *)
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let is_pos_zero x = same_bits x 0.0
+
+let dense_bits_equal a b =
+  Array.length a = Array.length b
+  &&
+  let rec go i = i < 0 || (same_bits a.(i) b.(i) && go (i - 1)) in
+  go (Array.length a - 1)
+
+let sparse_bits_equal x y =
+  let xi, xv, xn = Rowvec.raw x and yi, yv, yn = Rowvec.raw y in
+  let rec go p q =
+    if p < xn && q < yn then
+      let i = xi.(p) and j = yi.(q) in
+      if i = j then same_bits xv.(p) yv.(q) && go (p + 1) (q + 1)
+      else if i < j then is_pos_zero xv.(p) && go (p + 1) q
+      else is_pos_zero yv.(q) && go p (q + 1)
+    else if p < xn then is_pos_zero xv.(p) && go (p + 1) q
+    else q >= yn || (is_pos_zero yv.(q) && go p (q + 1))
+  in
+  go 0 0
+
+let bit_identical a b =
+  let nk = num_commodities a in
+  nk = num_commodities b
+  && (nk = 0 || a.m = b.m)
+  &&
+  let rec rows k =
+    k >= nk
+    || (let pa = rget a.rows k and pb = rget b.rows k in
+        (pa == pb
+        ||
+        match (pa, pb) with
+        | D x, D y -> dense_bits_equal x y
+        | S x, S y -> sparse_bits_equal x y
+        | D x, S y -> dense_bits_equal x (Rowvec.to_dense b.m y)
+        | S x, D y -> dense_bits_equal (Rowvec.to_dense a.m x) y)
+        && rows (k + 1))
+  in
+  rows 0

@@ -115,6 +115,14 @@ val set_row_storage :
     representation-independent image used by equality checks and tests. *)
 val to_dense_matrix : t -> float array array
 
+(** [bit_identical a b] is true iff [to_dense_matrix a] and
+    [to_dense_matrix b] are equal bit for bit ([Int64.bits_of_float] per
+    entry, so [-0.0] differs from [+0.0] and storage backend does not
+    matter), computed on native row storage: payloads shared
+    copy-on-write ([==]) are skipped, dense/dense and sparse/sparse rows
+    are compared directly, and only mixed pairs are densified. *)
+val bit_identical : t -> t -> bool
+
 (** {2 Storage statistics} *)
 
 (** Rows currently held sparse / dense. *)

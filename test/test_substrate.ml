@@ -290,6 +290,83 @@ let test_auto_densifies () =
   Alcotest.(check bool) "auto values match dense" true
     (Routing.row_dense auto 0 = Routing.row_dense dense 0)
 
+(* ---- native-storage bit comparison ---- *)
+
+(* The reference Routing.bit_identical must agree with: the densified
+   image compared entry by entry through Int64.bits_of_float. *)
+let densified_bit_identical a b =
+  let bits r =
+    Array.map (Array.map Int64.bits_of_float) (Routing.to_dense_matrix r)
+  in
+  bits a = bits b
+
+(* Random routings whose rows mix dense payloads, sparse payloads with
+   explicit [+0.0] and [-0.0] entries, and payloads shared copy-on-write
+   with the routing they are compared to. The second routing either
+   shares a row, re-stores the same dense image (possibly in the other
+   representation, with different explicit zeros), or perturbs one entry
+   — including [+0.0] <-> [-0.0] sign flips, which only bits can see. *)
+let test_native_bit_compare () =
+  let rng = Prng.create 7 in
+  let g = Topology.abilene () in
+  let m = G.num_links g in
+  let pool = [| -0.0; 1.0; 0.25; -0.5; 1e-300; Float.nan |] in
+  let image () =
+    Array.init m (fun _ -> if Prng.int rng 5 = 0 then Prng.choose rng pool else 0.0)
+  in
+  let storage img =
+    if Prng.bool rng 0.5 then `Dense (Array.copy img)
+    else begin
+      let idx = ref [] and v = ref [] in
+      for e = m - 1 downto 0 do
+        let x = img.(e) in
+        let explicit_zero = Prng.int rng 8 = 0 in
+        if Int64.bits_of_float x <> 0L || explicit_zero then begin
+          idx := e :: !idx;
+          v := x :: !v
+        end
+      done;
+      let idx = Array.of_list !idx and v = Array.of_list !v in
+      `Sparse (Rowvec.of_sorted idx v (Array.length idx))
+    end
+  in
+  let perturb img =
+    let img = Array.copy img in
+    let e = Prng.int rng m in
+    img.(e) <-
+      (if Int64.bits_of_float img.(e) = 0L then Prng.choose rng pool
+       else if Int64.bits_of_float img.(e) = Int64.bits_of_float (-0.0) then 0.0
+       else if Prng.bool rng 0.5 then -0.0
+       else 0.0);
+    img
+  in
+  let same = ref 0 and differ = ref 0 in
+  for _ = 1 to 600 do
+    let nk = 1 + Prng.int rng 6 in
+    let pairs = Array.make nk (0, 1) in
+    let a = Routing.create ~backend:Routing.Backend.Auto g ~pairs in
+    let imgs = Array.init nk (fun _ -> image ()) in
+    Array.iteri (fun k img -> Routing.set_row_storage a k (storage img)) imgs;
+    let b = Routing.copy a in
+    Array.iteri
+      (fun k img ->
+        match Prng.int rng 10 with
+        | 0 | 1 | 2 -> () (* payload stays shared with [a] *)
+        | 3 -> Routing.set_row_storage b k (storage (perturb img))
+        | _ -> Routing.set_row_storage b k (storage img))
+      imgs;
+    let expect = densified_bit_identical a b in
+    if expect then incr same else incr differ;
+    Alcotest.(check bool) "native compare = densified compare" expect
+      (Routing.bit_identical a b);
+    Alcotest.(check bool) "symmetric" expect (Routing.bit_identical b a)
+  done;
+  Alcotest.(check bool) "both outcomes exercised" true (!same > 50 && !differ > 50);
+  (* commodity count is part of the image *)
+  let a = Routing.create g ~pairs:[| (0, 1) |] in
+  let b = Routing.create g ~pairs:[| (0, 1); (0, 1) |] in
+  Alcotest.(check bool) "row count differs" false (Routing.bit_identical a b)
+
 let suite =
   [
     Alcotest.test_case "rowvec basics" `Quick test_rowvec_basics;
@@ -309,4 +386,6 @@ let suite =
       test_parallel_fold_from_shared_root;
     Alcotest.test_case "long chain identity" `Quick test_long_chain_identity;
     Alcotest.test_case "auto densifies" `Quick test_auto_densifies;
+    Alcotest.test_case "native bit compare = densified" `Quick
+      test_native_bit_compare;
   ]
