@@ -1,5 +1,5 @@
-(* LP-layer benchmark: simplex backends (dense tableau, sparse tableau,
-   LU-factorized revised) on the paper's dualized offline LP, and cold vs
+(* LP-layer benchmark: simplex backends (sparse tableau, LU-factorized
+   revised) on the paper's dualized offline LP, and cold vs
    warm-started constraint generation per backend. Results go to stdout
    (paper-style table) and to BENCH_lp.json in the working directory, so
    the perf trajectory is tracked in-repo PR over PR.
@@ -100,30 +100,22 @@ let dualized_case ~f g tm base =
     in
     { backend; plan; seconds; lp_seconds; refactorizations }
   in
-  let dense = run `Dense and tableau = run `Sparse and revised = run `Revised in
-  let speedup a b = a.seconds /. Float.max b.seconds 1e-9 in
-  let mlu_delta =
-    Float.max
-      (Float.abs (dense.plan.Offline.mlu -. tableau.plan.Offline.mlu))
-      (Float.abs (tableau.plan.Offline.mlu -. revised.plan.Offline.mlu))
-  in
+  let tableau = run `Sparse and revised = run `Revised in
+  let mlu_delta = Float.abs (tableau.plan.Offline.mlu -. revised.plan.Offline.mlu) in
+  let revised_speedup = tableau.seconds /. Float.max revised.seconds 1e-9 in
   Printf.printf
-    "  dualized LP (F=%d): %d vars, %d rows | dense %.2fs/%d pv | tableau \
-     %.2fs/%d pv | revised %.2fs/%d pv/%d refac | rev speedup %.1fx | dMLU \
-     %.2g\n%!"
-    f revised.plan.Offline.lp_vars revised.plan.Offline.lp_rows dense.seconds
-    dense.plan.Offline.lp_pivots tableau.seconds tableau.plan.Offline.lp_pivots
-    revised.seconds revised.plan.Offline.lp_pivots revised.refactorizations
-    (speedup tableau revised) mlu_delta;
+    "  dualized LP (F=%d): %d vars, %d rows | tableau %.2fs/%d pv | revised \
+     %.2fs/%d pv/%d refac | rev speedup %.1fx | dMLU %.2g\n%!"
+    f revised.plan.Offline.lp_vars revised.plan.Offline.lp_rows tableau.seconds
+    tableau.plan.Offline.lp_pivots revised.seconds revised.plan.Offline.lp_pivots
+    revised.refactorizations revised_speedup mlu_delta;
   J.Obj
     [
       ("lp_vars", J.Int revised.plan.Offline.lp_vars);
       ("lp_rows", J.Int revised.plan.Offline.lp_rows);
-      ("dense", run_json dense []);
       ("tableau", run_json tableau []);
       ("revised", run_json revised []);
-      ("tableau_speedup", J.Float (speedup dense tableau));
-      ("revised_speedup", J.Float (speedup tableau revised));
+      ("revised_speedup", J.Float revised_speedup);
       ( "lp_speedup",
         J.Float (tableau.lp_seconds /. Float.max revised.lp_seconds 1e-9) );
       ("mlu_delta", J.Float mlu_delta);

@@ -1,22 +1,19 @@
 (* Scenario-sweep benchmark: the prefix-sharing engine (Sweep.run) against
-   the naive per-scenario path it replaces (the deprecated
-   Eval.sorted_curves, which rebuilds every R3 state from the pristine plan
-   and re-solves every optimal MCF from scratch). The two must agree
-   bit-for-bit; the engine must be decisively faster. Results go to stdout
-   and to BENCH_sweep.json so the perf trajectory is tracked in-repo.
+   the naive per-scenario path it replaces (one Eval.scenario_bottleneck
+   per (algorithm, scenario), which rebuilds every R3 state from the
+   pristine plan, and one uncached Eval.optimal per scenario). The two must
+   agree bit-for-bit; the engine must be decisively faster. Results go to
+   stdout and to BENCH_sweep.json so the perf trajectory is tracked
+   in-repo.
 
    Run as:  dune exec bench/main.exe -- sweep
             dune exec bench/main.exe -- --smoke sweep   (tiny, no JSON) *)
-
-[@@@ocaml.alert "-deprecated"]
-(* the naive reference side IS the deprecated API *)
 
 module G = R3_net.Graph
 module Topology = R3_net.Topology
 module Traffic = R3_net.Traffic
 module Offline = R3_core.Offline
 module Eval = R3_sim.Eval
-module Scenario = R3_sim.Scenario
 module Scenarios = R3_sim.Scenarios
 module Sweep = R3_sim.Sweep
 module J = R3_util.Json
@@ -63,6 +60,27 @@ let bits_equal (a : float array array) (b : float array array) =
 
 let check name ok = if not ok then failwith ("sweep bench: " ^ name ^ " MISMATCH")
 
+(* The naive reference: per-algorithm values sorted ascending, undefined
+   ratios dropped, all through the single-scenario API. *)
+let naive_curves env ~algorithms ~metric scenarios =
+  let values = List.map (fun _ -> ref []) algorithms in
+  List.iter
+    (fun sc ->
+      let opt = match metric with `Ratio -> Eval.optimal env sc | `Bottleneck -> 1.0 in
+      List.iter2
+        (fun alg acc ->
+          let v = Eval.scenario_bottleneck env alg sc in
+          let v = match metric with `Ratio -> if opt > 0.0 then v /. opt else nan | `Bottleneck -> v in
+          if not (Float.is_nan v) then acc := v :: !acc)
+        algorithms values)
+    scenarios;
+  values
+  |> List.map (fun acc ->
+         let a = Array.of_list !acc in
+         Array.sort Float.compare a;
+         a)
+  |> Array.of_list
+
 (* ---- headline: full enumeration, R3 algorithms, bottleneck metric ----
 
    The R3 rows are where the naive path pays per scenario (full plan
@@ -71,10 +89,7 @@ let check name ok = if not ok then failwith ("sweep bench: " ^ name ^ " MISMATCH
    comparison. *)
 let headline_case ~repeats ~iters g env scenarios =
   let algorithms = Eval.[ Ospf_r3; Mplsff_r3 ] in
-  let raw = List.map Scenario.links scenarios in
-  let naive () =
-    Eval.sorted_curves env ~algorithms ~scenarios:raw ~metric:`Bottleneck ()
-  in
+  let naive () = naive_curves env ~algorithms ~metric:`Bottleneck scenarios in
   let sweep d () =
     Sweep.curves ~metric:`Bottleneck ~domains:d env ~algorithms scenarios
   in
@@ -129,10 +144,8 @@ let headline_case ~repeats ~iters g env scenarios =
 (* ---- ratio metric: the MCF memo cache, cold vs warm ---- *)
 let ratio_case g env scenarios =
   let algorithms = Eval.[ Ospf_r3; Ospf_opt ] in
-  let raw = List.map Scenario.links scenarios in
   let naive, t_naive =
-    R3_util.Timer.time (fun () ->
-        Eval.sorted_curves env ~algorithms ~scenarios:raw ())
+    R3_util.Timer.time (fun () -> naive_curves env ~algorithms ~metric:`Ratio scenarios)
   in
   let cache = Eval.mcf_cache env in
   let cold, t_cold =
@@ -162,98 +175,13 @@ let ratio_case g env scenarios =
       ("warm_speedup", J.Float (t_cold /. Float.max t_warm 1e-9));
     ]
 
-(* ---- persistent pool vs the retired per-call fork/join executor ----
-
-   Two workloads, one per granularity regime:
-   - the Abilene sweep fan-out (few heavy subtree tasks), where fork/join
-     was least embarrassed — the pool must be no worse;
-   - a pop36 constraint-generation oracle round (many tiny knapsack
-     tasks), where per-call domain spawn/join dominated — the pool must
-     win outright.
-   The oracle round reproduces Offline's separation oracle exactly: for
-   each (matrix, link) index, weights [cap l * p_l(e)] fed to the
-   knapsack kernel, over a protection-shaped routing (per-column OSPF
-   detour flow for the failed link's unit demand). *)
-let pool_case ~repeats ~iters env scenarios =
-  let algorithms = Eval.[ Ospf_r3; Mplsff_r3 ] in
-  (* At least one worker, or both executors degenerate to the same
-     sequential loop: on a single-core host this measures the per-call
-     domain spawn/join overhead itself, which is what the pool removes. *)
-  let n_domains = Int.max 2 (R3_util.Parallel.domains ()) in
-  let saved_domains = R3_util.Parallel.domains () in
-  R3_util.Parallel.set_domains n_domains;
-  Fun.protect ~finally:(fun () -> R3_util.Parallel.set_domains saved_domains)
-  @@ fun () ->
-  let sweep fanout () =
-    (Sweep.run ~metric:`Bottleneck ~domains:n_domains ~fanout env ~algorithms
-       scenarios)
-      .Sweep.curves
-  in
-  check "pool vs fork/join sweep curves"
-    (bits_equal (sweep `Tasks ()) (sweep `Forkjoin ()));
-  let best f =
-    R3_util.Timer.best_of ~repeats (fun () ->
-        for _ = 1 to iters do
-          ignore (f ())
-        done)
-    /. float_of_int iters
-  in
-  let t_fj = best (sweep `Forkjoin) in
-  let t_pool = best (sweep `Tasks) in
-  (* pop36 oracle round *)
-  let g36 = Reconfig_bench.pop36 () in
-  let m = G.num_links g36 in
-  let weights = R3_net.Ospf.unit_weights g36 in
-  (* protection-shaped routing: row l is the OSPF detour flow carrying
-     link l's unit virtual demand around l (built once, untimed) *)
-  let detour =
-    Array.init m (fun l ->
-        let r =
-          R3_net.Ospf.routing g36 ~failed:(G.fail_links g36 [ l ]) ~weights
-            ~pairs:[| (G.src g36 l, G.dst g36 l) |] ()
-        in
-        Array.init m (fun j -> R3_net.Routing.get r 0 j))
-  in
-  let nh = 4 in
-  let n = nh * m in
-  let task i =
-    let e = i mod m in
-    let w = Array.init m (fun l -> G.capacity g36 l *. detour.(l).(e)) in
-    fst (R3_core.Virtual_demand.worst_virtual_load_set ~f:2 w)
-  in
-  let pool_oracle () =
-    R3_util.Parallel.init ~chunk:(R3_util.Parallel.chunk_hint n) n task
-  in
-  let fj_oracle () = R3_util.Pool.Forkjoin.run_indexed ~domains:n_domains n task in
-  check "pool vs fork/join oracle results" (pool_oracle () = fj_oracle ());
-  let t_fj_o = best fj_oracle in
-  let t_pool_o = best pool_oracle in
+(* ---- the persistent pool's lifetime counters after the cases above ---- *)
+let pool_section () =
   let s = R3_util.Pool.stats () in
   Printf.printf
-    "  executor (pool vs per-call fork/join, %d domains):\n\
-    \    abilene sweep:   fork/join %.4fs | pool %.4fs | speedup %.2fx\n\
-    \    pop36 CG oracle: fork/join %.4fs | pool %.4fs | speedup %.2fx\n\
-    \    pool: %d workers, %d tasks, %d steals, %d parks, depth<=%d, %d resizes\n%!"
-    n_domains t_fj t_pool
-    (t_fj /. Float.max t_pool 1e-9)
-    t_fj_o t_pool_o
-    (t_fj_o /. Float.max t_pool_o 1e-9)
+    "  pool: %d workers, %d tasks, %d steals, %d parks, depth<=%d, %d resizes\n%!"
     s.R3_util.Pool.workers s.R3_util.Pool.tasks s.R3_util.Pool.steals
     s.R3_util.Pool.parks s.R3_util.Pool.max_queue_depth s.R3_util.Pool.resizes;
-  (* Acceptance bar: pool no worse than fork/join on the coarse sweep
-     (10% tolerance — few tasks, timer noise) and strictly faster on the
-     fine-grained oracle round. Hard-enforced only on demand, like the
-     plan-store gate. *)
-  if t_pool > t_fj *. 1.10 || t_pool_o >= t_fj_o then begin
-    let msg =
-      Printf.sprintf
-        "pool vs fork/join: abilene %.4fs vs %.4fs, pop36 oracle %.4fs vs %.4fs"
-        t_pool t_fj t_pool_o t_fj_o
-    in
-    if Sys.getenv_opt "R3_BENCH_ENFORCE_SPEEDUP" <> None then
-      failwith ("sweep bench: " ^ msg)
-    else H.note "%s — not enforced without R3_BENCH_ENFORCE_SPEEDUP" msg
-  end;
   J.Obj
     [
       ("workers", J.Int s.R3_util.Pool.workers);
@@ -262,21 +190,6 @@ let pool_case ~repeats ~iters env scenarios =
       ("parks", J.Int s.R3_util.Pool.parks);
       ("max_queue_depth", J.Int s.R3_util.Pool.max_queue_depth);
       ("resizes", J.Int s.R3_util.Pool.resizes);
-      ( "abilene_sweep",
-        J.Obj
-          [
-            ("forkjoin_seconds", J.Float t_fj);
-            ("pool_seconds", J.Float t_pool);
-            ("speedup", J.Float (t_fj /. Float.max t_pool 1e-9));
-          ] );
-      ( "pop36_cg_oracle",
-        J.Obj
-          [
-            ("oracle_tasks", J.Int n);
-            ("forkjoin_seconds", J.Float t_fj_o);
-            ("pool_seconds", J.Float t_pool_o);
-            ("speedup", J.Float (t_fj_o /. Float.max t_pool_o 1e-9));
-          ] );
     ]
 
 let run () =
@@ -307,7 +220,7 @@ let run () =
     let scenarios = Scenarios.enumerate g ~k:1 @ Scenarios.enumerate g ~k:2 in
     let headline = headline_case ~repeats:3 ~iters:10 g env scenarios in
     let ratio = ratio_case g env (Scenarios.enumerate g ~k:1) in
-    let pool = pool_case ~repeats:3 ~iters:10 env scenarios in
+    let pool = pool_section () in
     let doc =
       J.Obj
         [

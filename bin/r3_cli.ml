@@ -49,11 +49,10 @@ let lp_backend_arg =
   Arg.(
     value
     & opt string "revised"
-    & info [ "lp-backend" ] ~docv:"tableau|revised|dense"
+    & info [ "lp-backend" ] ~docv:"tableau|revised"
         ~doc:
           "Simplex engine for the offline LP: $(b,revised) (LU-factorized \
-           revised simplex), $(b,tableau) (sparse-row tableau) or \
-           $(b,dense) (reference).")
+           revised simplex) or $(b,tableau) (sparse-row tableau).")
 
 let domains_arg =
   Arg.(

@@ -116,7 +116,7 @@ let lp_agree =
     match
       List.map
         (fun b -> (R3_lp.Problem.backend_name b, solve b))
-        [ `Dense; `Sparse; `Revised ]
+        [ `Sparse; `Revised ]
     with
     | [] -> ()
     | (ref_name, ref_r) :: rest ->
@@ -138,7 +138,7 @@ let lp_agree =
   in
   {
     name = "lp-agree";
-    doc = "dense/tableau/revised simplex agree on constraint-generation plans";
+    doc = "tableau and revised simplex agree on constraint-generation plans";
     check;
   }
 

@@ -38,7 +38,7 @@ let with_lp_backend_string s t =
   match R3_lp.Problem.backend_of_string s with
   | Some b -> Ok (with_lp_backend b t)
   | None ->
-    Error (Printf.sprintf "unknown LP backend %S (use tableau, revised or dense)" s)
+    Error (Printf.sprintf "unknown LP backend %S (use tableau|revised)" s)
 
 let with_domains_string s t =
   match s with

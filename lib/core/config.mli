@@ -57,8 +57,8 @@ val apply_domains : t -> unit
 
 (** {2 String parsing (CLI flags)} *)
 
-(** [with_lp_backend_string s t]: [s] is one of [tableau], [revised],
-    [dense] (as accepted by {!R3_lp.Problem.backend_of_string});
+(** [with_lp_backend_string s t]: [s] is [tableau] or [revised] (as
+    accepted by {!R3_lp.Problem.backend_of_string});
     [Error] carries a usable message otherwise. *)
 val with_lp_backend_string : string -> t -> (t, string) result
 

@@ -269,23 +269,6 @@ let compute_dualized (cfg : config) g tms base_spec =
         lp_pivots = sol.P.pivots;
       }
 
-(* Knapsack audit of a finished routing (same formula as Verify, inlined
-   here to avoid a dependency cycle). Embarrassingly parallel per link;
-   the merge is a fold over the slot-ordered result array, so the value
-   is independent of the domain count. *)
-let audit_worst_mlu g ~f ~base_loads ~protection =
-  Obs.T.with_span "offline.audit" @@ fun () ->
-  let m = G.num_links g in
-  let utils =
-    Parallel.init ~chunk:(Parallel.chunk_hint m) m (fun e ->
-        let weights =
-          Array.init m (fun l -> G.capacity g l *. Routing.get protection l e)
-        in
-        let ml = Virtual_demand.worst_virtual_load ~f weights in
-        (base_loads.(e) +. ml) /. G.capacity g e)
-  in
-  Array.fold_left Float.max 0.0 utils
-
 (* ---- Method 2: constraint generation with the knapsack oracle. ---- *)
 
 let compute_cg (cfg : config) g tms base_spec =
@@ -397,11 +380,12 @@ let compute_cg (cfg : config) g tms base_spec =
             if !violated = 0 then mlu_val
             else begin
               (* budget exhausted: audit the true worst case of this plan *)
+              Obs.T.with_span "offline.audit" @@ fun () ->
               Array.fold_left
                 (fun acc demands ->
                   let base_loads = Routing.loads g ~demands base in
                   Float.max acc
-                    (audit_worst_mlu g ~f:cfg.f ~base_loads ~protection))
+                    (Virtual_demand.worst_mlu g ~f:cfg.f ~base_loads ~protection))
                 0.0 demand_arrs
             end
           in

@@ -68,11 +68,13 @@ let method_of_tag = function
   | 1 -> Offline.Constraint_gen
   | n -> raise (R.Corrupt (Printf.sprintf "unknown solve method tag %d" n))
 
-let lp_backend_tag = function `Dense -> 0 | `Sparse -> 1 | `Revised -> 2
+let lp_backend_tag = function `Sparse -> 1 | `Revised -> 2
 
+(* Tag 0 named the retired full-tableau engine. Snapshots carrying it
+   still load, as [`Sparse]: that is the engine a tag-0 constraint-
+   generation session ran, and the one a re-solve would use now. *)
 let lp_backend_of_tag = function
-  | 0 -> `Dense
-  | 1 -> `Sparse
+  | 0 | 1 -> `Sparse
   | 2 -> `Revised
   | n -> raise (R.Corrupt (Printf.sprintf "unknown lp backend tag %d" n))
 

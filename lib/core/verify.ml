@@ -1,18 +1,7 @@
 module G = R3_net.Graph
 module Routing = R3_net.Routing
 
-let offline_worst_mlu g ~f ~base_loads ~protection =
-  let m = G.num_links g in
-  let worst = ref 0.0 in
-  for e = 0 to m - 1 do
-    let weights =
-      Array.init m (fun l -> G.capacity g l *. Routing.get protection l e)
-    in
-    let ml = Virtual_demand.worst_virtual_load ~f weights in
-    let u = (base_loads.(e) +. ml) /. G.capacity g e in
-    if u > !worst then worst := u
-  done;
-  !worst
+let offline_worst_mlu = Virtual_demand.worst_mlu
 
 let scenario_mlu plan links =
   let st = Reconfig.apply_failures (Reconfig.of_plan plan) links in

@@ -9,7 +9,7 @@
     [max_e (base_loads(e) + sum of f largest c_l p_l(e)) / c_e] — the true
     MLU of the plan over [d + X_F]. Must match {!Offline.plan}'s [mlu] up
     to the loop-penalty tolerance (this equality is itself a check of the
-    LP dualization). *)
+    LP dualization). The same function as {!Virtual_demand.worst_mlu}. *)
 val offline_worst_mlu :
   R3_net.Graph.t -> f:int -> base_loads:float array -> protection:R3_net.Routing.t -> float
 

@@ -55,3 +55,16 @@ let worst_virtual_load_set ~f weights =
     end
   done;
   (!acc, List.rev !links)
+
+let worst_mlu g ~f ~base_loads ~protection =
+  let m = R3_net.Graph.num_links g in
+  let cap = R3_net.Graph.capacity g in
+  let worst = ref 0.0 in
+  for e = 0 to m - 1 do
+    let weights =
+      Array.init m (fun l -> cap l *. R3_net.Routing.get protection l e)
+    in
+    let u = (base_loads.(e) +. worst_virtual_load ~f weights) /. cap e in
+    worst := Float.max !worst u
+  done;
+  !worst

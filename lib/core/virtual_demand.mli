@@ -25,3 +25,14 @@ val worst_virtual_load : f:int -> float array -> float
 (** As above but also returning the argmax set of links (the adversarial
     failure scenario for this link), largest first. *)
 val worst_virtual_load_set : f:int -> float array -> float * int list
+
+(** [worst_mlu g ~f ~base_loads ~protection] is
+    [max_e (base_loads(e) + worst_virtual_load of c_l p_l(e)) / c_e]: the
+    true MLU of a plan over [d + X_F], audited from the routing values
+    alone. *)
+val worst_mlu :
+  R3_net.Graph.t ->
+  f:int ->
+  base_loads:float array ->
+  protection:R3_net.Routing.t ->
+  float

@@ -2,17 +2,15 @@ type var = int
 
 type cmp = Le | Ge | Eq
 
-type backend = [ `Dense | `Sparse | `Revised ]
+type backend = [ `Sparse | `Revised ]
 
 let backend_of_string s =
   match String.lowercase_ascii s with
-  | "dense" -> Some `Dense
   | "tableau" | "sparse" -> Some `Sparse
   | "revised" -> Some `Revised
   | _ -> None
 
 let backend_name = function
-  | `Dense -> "dense"
   | `Sparse -> "tableau"
   | `Revised -> "revised"
 

@@ -20,11 +20,11 @@ type cmp = Le | Ge | Eq
 (** Simplex engine: [`Revised] runs the LU-factorized revised simplex
     (per-pivot work scales with touched nonzeros, the fast path for
     constraint generation); [`Sparse] (default) is the sparse-row
-    tableau; [`Dense] is the reference full-tableau implementation.
-    Identical statuses, objectives within numerical tolerance. *)
-type backend = [ `Dense | `Sparse | `Revised ]
+    tableau, which the revised engine also falls back to on a singular
+    basis. Identical statuses, objectives within numerical tolerance. *)
+type backend = [ `Sparse | `Revised ]
 
-(** ["dense"], ["tableau"] (alias ["sparse"]) or ["revised"],
+(** ["tableau"] (alias ["sparse"]) or ["revised"],
     case-insensitive; [None] on anything else. *)
 val backend_of_string : string -> backend option
 
@@ -92,9 +92,8 @@ val solve : ?backend:backend -> ?max_pivots:int -> t -> result
 type session
 
 (** [session t] prepares an incremental handle; nothing is solved until
-    the first {!resolve}. [backend] picks the warm engine ([`Dense] maps
-    to the sparse tableau); [max_pivots] bounds each individual
-    (re-)solve. *)
+    the first {!resolve}. [backend] picks the warm engine; [max_pivots]
+    bounds each individual (re-)solve. *)
 val session : ?backend:backend -> ?max_pivots:int -> t -> session
 
 (** Solve, or re-solve warm after rows were added. Falls back to a cold

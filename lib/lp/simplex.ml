@@ -13,7 +13,7 @@ type outcome = {
   pivots : int;
 }
 
-type backend = [ `Dense | `Sparse | `Revised ]
+type backend = [ `Sparse | `Revised ]
 
 let eps = Tol.eps
 let feas_tol = Tol.feas
@@ -141,319 +141,6 @@ let prepare ~n ~rows ~cmps ~rhs =
   (scaled_rows, cmps, b0, !n_slack, needs_art, n_art, col_scale)
 
 (* ==================================================================== *)
-(* Dense backend: full tableau rows, kept as the reference
-   implementation (and for benchmarking the sparse core against).       *)
-(* ==================================================================== *)
-
-module Dense = struct
-  (* Mutable solver state. The tableau stores, for each active row, the full
-     dense row over [width] columns (structural + slack + artificial). Two
-     reduced-cost rows are maintained simultaneously so that phase 2 can start
-     immediately once phase 1 ends. *)
-  type state = {
-    m : int;
-    width : int;
-    n_struct : int;
-    n_art : int;  (* artificial columns occupy [width - n_art, width) *)
-    tab : float array array;
-    b : float array;
-    basis : int array;
-    active : bool array;
-    cost1 : float array;  (* phase-1 reduced costs *)
-    cost2 : float array;  (* phase-2 reduced costs *)
-    devex : float array;  (* Devex reference weights for pricing *)
-    mutable obj1 : float;  (* phase-1 objective (sum of artificials) *)
-    mutable obj2 : float;  (* phase-2 objective (c . x) *)
-    mutable pivots : int;
-    mutable degenerate_run : int;
-    mutable degen : int;  (* total degenerate (ratio ~ 0) pivots *)
-    mutable harris_rej : int;  (* rows rejected by the Harris pass-2 window *)
-    mutable devex_resets : int;  (* reference-framework resets *)
-  }
-
-  let is_artificial st j = j >= st.width - st.n_art
-
-  (* Pivot on (row [ip], column [jp]): normalize the pivot row, eliminate the
-     column from every other active row and from both cost rows. *)
-  let pivot st ip jp =
-    let tab = st.tab and b = st.b in
-    let prow = tab.(ip) in
-    let piv = prow.(jp) in
-    let inv = 1.0 /. piv in
-    let width = st.width in
-    for j = 0 to width - 1 do
-      Array.unsafe_set prow j (Array.unsafe_get prow j *. inv)
-    done;
-    prow.(jp) <- 1.0;
-    b.(ip) <- b.(ip) *. inv;
-    let brow = b.(ip) in
-    for i = 0 to st.m - 1 do
-      if i <> ip && st.active.(i) then begin
-        let row = Array.unsafe_get tab i in
-        let factor = Array.unsafe_get row jp in
-        if Float.abs factor > Tol.pivot_drop then begin
-          for j = 0 to width - 1 do
-            Array.unsafe_set row j
-              (Array.unsafe_get row j -. (factor *. Array.unsafe_get prow j))
-          done;
-          row.(jp) <- 0.0;
-          b.(i) <- b.(i) -. (factor *. brow);
-          if b.(i) < 0.0 && b.(i) > -.Tol.rhs_snap then b.(i) <- 0.0
-        end
-      end
-    done;
-    let eliminate cost =
-      let factor = cost.(jp) in
-      if Float.abs factor > Tol.pivot_drop then begin
-        for j = 0 to width - 1 do
-          Array.unsafe_set cost j
-            (Array.unsafe_get cost j -. (factor *. Array.unsafe_get prow j))
-        done;
-        cost.(jp) <- 0.0
-      end;
-      factor
-    in
-    let f1 = eliminate st.cost1 in
-    st.obj1 <- st.obj1 +. (f1 *. brow);
-    let f2 = eliminate st.cost2 in
-    st.obj2 <- st.obj2 +. (f2 *. brow);
-    (* Devex weight update over the (normalized) pivot row. *)
-    let wq = Float.max st.devex.(jp) 1.0 in
-    for j = 0 to width - 1 do
-      let a = Array.unsafe_get prow j in
-      if a <> 0.0 then begin
-        let cand = a *. a *. wq in
-        if cand > Array.unsafe_get st.devex j then Array.unsafe_set st.devex j cand
-      end
-    done;
-    st.devex.(jp) <- Float.max (wq /. (piv *. piv)) 1.0;
-    (* Reset the reference framework when weights blow up. *)
-    if st.devex.(jp) > Tol.devex_reset || wq > Tol.devex_reset then begin
-      Array.fill st.devex 0 width 1.0;
-      st.devex_resets <- st.devex_resets + 1
-    end;
-    st.basis.(ip) <- jp;
-    st.pivots <- st.pivots + 1
-
-  (* Entering column: Devex pricing, switching to Bland's rule (lowest
-     eligible index) after a long degenerate run. [allow] filters columns
-     (artificials are barred in phase 2). *)
-  let entering st cost ~allow =
-    if st.degenerate_run > 100 then begin
-      let rec first j =
-        if j >= st.width then None
-        else if cost.(j) < -.eps && allow j then Some j
-        else first (j + 1)
-      in
-      first 0
-    end
-    else begin
-      (* Devex pricing: maximize d_j^2 / w_j over eligible columns. *)
-      let best = ref (-1) and best_score = ref 0.0 in
-      for j = 0 to st.width - 1 do
-        let c = Array.unsafe_get cost j in
-        if c < -.eps && allow j then begin
-          let score = c *. c /. Array.unsafe_get st.devex j in
-          if score > !best_score then begin
-            best := j;
-            best_score := score
-          end
-        end
-      done;
-      if !best < 0 then None else Some !best
-    end
-
-  (* Leaving row for entering column [jp]: Harris-style two-pass ratio test.
-     Pass 1 finds the tightest ratio; pass 2 picks, among rows whose ratio is
-     within a *relative* tolerance of it, the one with the largest pivot
-     element (smallest basis index on exact ties, an anti-cycling aid).
-     An absolute tie window is useless here: at ratios of 1e6 it degenerates
-     to "first minimum", which happily pivots on near-[eps] elements and
-     destroys the tableau. Negative basic values (numerical drift) are
-     treated as zero, so their rows surface as degenerate ratio-0 pivots
-     that restore feasibility instead of producing negative ratios. *)
-  let leaving st jp =
-    let theta = ref infinity in
-    for i = 0 to st.m - 1 do
-      if st.active.(i) then begin
-        let a = st.tab.(i).(jp) in
-        if a > eps then begin
-          let ratio = Float.max st.b.(i) 0.0 /. a in
-          if ratio < !theta then theta := ratio
-        end
-      end
-    done;
-    if !theta = infinity then None
-    else begin
-      let lim = !theta +. (Tol.harris_rel *. (1.0 +. !theta)) in
-      let best = ref (-1) and best_piv = ref 0.0 in
-      for i = 0 to st.m - 1 do
-        if st.active.(i) then begin
-          let a = st.tab.(i).(jp) in
-          if a > eps then
-            if Float.max st.b.(i) 0.0 /. a <= lim then begin
-              if
-                a > !best_piv
-                || (a = !best_piv && !best >= 0 && st.basis.(i) < st.basis.(!best))
-              then begin
-                best := i;
-                best_piv := a
-              end
-            end
-            else st.harris_rej <- st.harris_rej + 1
-        end
-      done;
-      Some (!best, Float.max st.b.(!best) 0.0 /. !best_piv)
-    end
-
-  let run_phase st cost ~allow ~max_pivots =
-    let rec loop () =
-      if st.pivots >= max_pivots then Phase_limit
-      else begin
-        match entering st cost ~allow with
-        | None -> Phase_optimal
-        | Some jp -> begin
-            match leaving st jp with
-            | None -> Phase_unbounded
-            | Some (ip, ratio) ->
-              if ratio < Tol.degenerate_ratio then begin
-                st.degenerate_run <- st.degenerate_run + 1;
-                st.degen <- st.degen + 1
-              end
-              else st.degenerate_run <- 0;
-              (* A drifted-negative basic value leaves on a ratio-0 pivot;
-                 make the repair exact. *)
-              if st.b.(ip) < 0.0 then st.b.(ip) <- 0.0;
-              pivot st ip jp;
-              loop ()
-          end
-      end
-    in
-    loop ()
-
-  (* After phase 1, no artificial variable may remain basic with a nonzero
-     value. Basic artificials at zero are pivoted out on any usable column;
-     if the whole row is zero over real columns the constraint was redundant
-     and the row is deactivated. *)
-  let purge_artificials st =
-    for i = 0 to st.m - 1 do
-      if st.active.(i) && is_artificial st st.basis.(i) then begin
-        let row = st.tab.(i) in
-        let jp = ref (-1) in
-        let j = ref 0 in
-        let real_width = st.width - st.n_art in
-        while !jp < 0 && !j < real_width do
-          if Float.abs row.(!j) > Tol.purge then jp := !j;
-          incr j
-        done;
-        if !jp >= 0 then pivot st i !jp else st.active.(i) <- false
-      end
-    done
-
-  let solve ?max_pivots ~obj ~rows ~cmps ~rhs () =
-    let n = Array.length obj in
-    let m = Array.length rows in
-    let scaled_rows, cmps, b0, n_slack, needs_art, n_art, col_scale =
-      prepare ~n ~rows ~cmps ~rhs
-    in
-    let width = n + n_slack + n_art in
-    let st =
-      {
-        m;
-        width;
-        n_struct = n;
-        n_art;
-        tab = Array.init m (fun _ -> Array.make width 0.0);
-        b = b0;
-        basis = Array.make m (-1);
-        active = Array.make m true;
-        cost1 = Array.make width 0.0;
-        cost2 = Array.make width 0.0;
-        devex = Array.make width 1.0;
-        obj1 = 0.0;
-        obj2 = 0.0;
-        pivots = 0;
-        degenerate_run = 0;
-        degen = 0;
-        harris_rej = 0;
-        devex_resets = 0;
-      }
-    in
-    for j = 0 to n - 1 do
-      st.cost2.(j) <- obj.(j) *. col_scale.(j)
-    done;
-    let next_slack = ref n and next_art = ref (n + n_slack) in
-    for i = 0 to m - 1 do
-      let idx, coef = scaled_rows.(i) in
-      let row = st.tab.(i) in
-      Array.iteri (fun t j -> row.(j) <- row.(j) +. coef.(t)) idx;
-      (match cmps.(i) with
-      | Le ->
-        row.(!next_slack) <- 1.0;
-        st.basis.(i) <- !next_slack;
-        incr next_slack
-      | Ge ->
-        row.(!next_slack) <- -1.0;
-        incr next_slack
-      | Eq -> ());
-      if needs_art.(i) then begin
-        row.(!next_art) <- 1.0;
-        st.basis.(i) <- !next_art;
-        (* Phase-1 reduced costs: c1_j - (row sums over artificial rows). *)
-        for j = 0 to width - 1 do
-          if j <> !next_art then st.cost1.(j) <- st.cost1.(j) -. row.(j)
-        done;
-        st.obj1 <- st.obj1 +. st.b.(i);
-        incr next_art
-      end
-    done;
-    let max_pivots =
-      match max_pivots with Some k -> k | None -> default_budget m n
-    in
-    let elapsed = R3_util.Timer.stopwatch () in
-    let p1 = ref 0 in
-    let finish out =
-      Obs.record_solve ~pivots:st.pivots ~p1:!p1 ~degen:st.degen
-        ~harris:st.harris_rej ~resets:st.devex_resets ~dt:(elapsed ());
-      out
-    in
-    let allow_all _ = true in
-    let fail status =
-      finish { status; x = Array.make n 0.0; objective = 0.0; pivots = st.pivots }
-    in
-    let phase1 =
-      if n_art = 0 then Phase_optimal
-      else run_phase st st.cost1 ~allow:allow_all ~max_pivots
-    in
-    p1 := st.pivots;
-    match phase1 with
-    | Phase_limit -> fail Iteration_limit
-    | Phase_unbounded ->
-      (* Phase-1 objective is bounded below by 0; cannot be unbounded. *)
-      fail Infeasible
-    | Phase_optimal ->
-      if st.obj1 > feas_tol then fail Infeasible
-      else begin
-        purge_artificials st;
-        st.degenerate_run <- 0;
-        let allow j = not (is_artificial st j) in
-        match run_phase st st.cost2 ~allow ~max_pivots with
-        | Phase_limit -> fail Iteration_limit
-        | Phase_unbounded -> fail Unbounded
-        | Phase_optimal ->
-          let x = Array.make n 0.0 in
-          for i = 0 to m - 1 do
-            if st.active.(i) && st.basis.(i) < n then
-              x.(st.basis.(i)) <- st.b.(i) *. col_scale.(st.basis.(i))
-          done;
-          let objective =
-            Array.fold_left ( +. ) 0.0 (Array.mapi (fun j c -> c *. x.(j)) obj)
-          in
-          finish { status = Optimal; x; objective; pivots = st.pivots }
-      end
-end
-
-(* ==================================================================== *)
 (* Sparse backend: tableau rows are Sparse.t, so pivoting, cost-row
    elimination and Devex updates all run in O(nnz) instead of O(width).
    The same state doubles as a warm-startable session - columns and rows
@@ -531,10 +218,11 @@ module Sp = struct
       st.col_v <- Array.make cap 0.0
     end
 
-  (* Pivot on (row [ip], column [jp]); mirrors {!Dense.pivot} but touches
-     only stored nonzeros. When [leaving] just scanned column [jp] its
-     per-row coefficients are in [col_v], saving a second round of binary
-     searches. *)
+  (* Pivot on (row [ip], column [jp]): normalize the pivot row, eliminate
+     the column from every other active row and from both cost rows, then
+     update the Devex weights - touching only stored nonzeros. When
+     [leaving] just scanned column [jp] its per-row coefficients are in
+     [col_v], saving a second round of binary searches. *)
   let pivot st ip jp =
     let prow = st.rows.(ip) in
     let piv = Sparse.get prow jp in
@@ -591,6 +279,9 @@ module Sp = struct
     st.basis.(ip) <- jp;
     st.pivots <- st.pivots + 1
 
+  (* Entering column: Devex pricing (maximize d_j^2 / w_j), switching to
+     Bland's rule (lowest eligible index) after a long degenerate run.
+     [allow] filters columns (artificials are barred in phase 2). *)
   let entering st cost ~allow =
     if st.degenerate_run > 100 then begin
       let rec first j =
@@ -615,10 +306,21 @@ module Sp = struct
       if !best < 0 then None else Some !best
     end
 
-  (* Harris-style two-pass ratio test; see {!Dense.leaving}. The column
-     lookups are binary searches here, so pass 1 records the (usually few)
-     candidate rows and pass 2 revisits only those. The full column is
-     cached in [col_v] for the {!pivot} that typically follows. *)
+  (* Leaving row for entering column [jp]: Harris-style two-pass ratio
+     test. Pass 1 finds the tightest ratio; pass 2 picks, among rows whose
+     ratio is within a *relative* tolerance of it, the one with the
+     largest pivot element (smallest basis index on exact ties, an
+     anti-cycling aid). An absolute tie window is useless here: at ratios
+     of 1e6 it degenerates to "first minimum", which happily pivots on
+     near-[eps] elements and destroys the tableau. Negative basic values
+     (numerical drift) are treated as zero, so their rows surface as
+     degenerate ratio-0 pivots that restore feasibility instead of
+     producing negative ratios.
+
+     The column lookups are binary searches, so pass 1 records the
+     (usually few) candidate rows and pass 2 revisits only those. The full
+     column is cached in [col_v] for the {!pivot} that typically
+     follows. *)
   let leaving st jp =
     let cand_i = st.cand_i and cand_a = st.cand_a in
     let nc = ref 0 and theta = ref infinity in
@@ -640,7 +342,7 @@ module Sp = struct
     else begin
       let lim = !theta +. (Tol.harris_rel *. (1.0 +. !theta)) in
       (* Largest pivot element within the tolerance, ties to the smallest
-         basis index, exactly as in {!Dense.leaving}. (A Markowitz-style
+         basis index. (A Markowitz-style
          sparsest-row tie-break was tried here to curb fill-in: accepting
          pivots down to half the largest admissible element let feasibility
          drift below the true optimum on fill-heavy instances. Keeping the
@@ -677,6 +379,8 @@ module Sp = struct
                 st.degen <- st.degen + 1
               end
               else st.degenerate_run <- 0;
+              (* A drifted-negative basic value leaves on a ratio-0 pivot;
+                 make the repair exact. *)
               if st.b.(ip) < 0.0 then st.b.(ip) <- 0.0;
               pivot st ip jp;
               loop ()
@@ -685,6 +389,10 @@ module Sp = struct
     in
     loop ()
 
+  (* After phase 1, no artificial variable may remain basic with a nonzero
+     value. Basic artificials at zero are pivoted out on any usable column;
+     if the whole row is zero over real columns the constraint was
+     redundant and the row is deactivated. *)
   let purge_artificials st =
     for i = 0 to st.m - 1 do
       if st.active.(i) && is_artificial st st.basis.(i) then begin
@@ -1351,8 +1059,10 @@ module Rev = struct
       end
     end
 
-  (* Harris two-pass ratio test on the FTRAN'd column; see
-     {!Dense.leaving} for the rationale. One extra rule: a row holding a
+  (* Harris two-pass ratio test on the FTRAN'd column, as in
+     {!Sp.leaving}: the tightest ratio, then the largest pivot element
+     within a relative window of it - an absolute window would accept
+     near-[eps] pivots at large ratios. One extra rule: a row holding a
      basic artificial at (numerical) zero whose coefficient is negative
      is eligible at ratio 0 - the exchange drives the artificial out
      nonbasic instead of letting its value grow. *)
@@ -1812,7 +1522,6 @@ end
 
 let solve ?(backend = `Sparse) ?max_pivots ~obj ~rows ~cmps ~rhs () =
   match backend with
-  | `Dense -> Dense.solve ?max_pivots ~obj ~rows ~cmps ~rhs ()
   | `Sparse ->
     let st = Sp.build ?max_pivots ~obj ~rows ~cmps ~rhs () in
     Sp.first_solve st
@@ -1833,7 +1542,7 @@ module Session = struct
 
   let create ?(backend = `Sparse) ?max_pivots ~obj ~rows ~cmps ~rhs () =
     match backend with
-    | `Dense | `Sparse ->
+    | `Sparse ->
       let st = Sp.build ?max_pivots ~obj ~rows ~cmps ~rhs () in
       { eng = Tab st; last = Sp.first_solve st }
     | `Revised -> (

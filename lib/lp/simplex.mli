@@ -10,7 +10,7 @@
     equilibrated (scaled by their max absolute coefficient) for numerical
     robustness.
 
-    Three interchangeable backends share this pivoting discipline:
+    Two interchangeable backends share this pivoting discipline:
 
     - [`Revised] holds the basis as a sparse LU factorization ({!Lu})
       instead of a pivoted tableau: each iteration is one BTRAN (pivot
@@ -20,11 +20,11 @@
       is the fast path for large constraint-generation workloads.
     - [`Sparse] (default) keeps every tableau row as a {!Sparse.t}; pivots,
       cost-row eliminations and Devex updates run in O(nnz) rather than
-      O(columns), but every pivot still rewrites all rows.
-    - [`Dense] is the original full-tableau implementation, kept as the
-      reference oracle for tests and benchmarks.
+      O(columns), but every pivot still rewrites all rows. It is also
+      where a [`Revised] solve lands when its basis turns out
+      numerically singular.
 
-    All backends return the same statuses and (within numerical tolerance)
+    Both backends return the same statuses and (within numerical tolerance)
     the same objectives. *)
 
 type cmp = Le | Ge | Eq
@@ -42,7 +42,7 @@ type outcome = {
   pivots : int;  (** total pivot count across both phases *)
 }
 
-type backend = [ `Dense | `Sparse | `Revised ]
+type backend = [ `Sparse | `Revised ]
 
 (** [solve ~obj ~rows ~cmps ~rhs] where [rows.(i)] is the sparse row
     [(indices, coefficients)] of constraint [i]. All variable indices must
@@ -75,7 +75,7 @@ module Session : sig
 
   (** Build the solver state and run the initial two-phase solve; the
       result is available via {!outcome}. [backend] picks the engine
-      ([`Dense] maps to the [`Sparse] tableau; default [`Sparse]) - a
+      (default [`Sparse]) - a
       [`Revised] session whose basis turns out numerically singular
       falls back to the tableau engine transparently. [max_pivots] is
       the pivot budget for the initial solve and for each subsequent

@@ -267,6 +267,64 @@ let test_plan_corruption_rejected () =
       check_mentions "bumped version" "version"
         (err_exn "bumped version" (Plan_store.load path)))
 
+(* The config section names the LP engine by a one-byte tag. Tag 0
+   belonged to the retired full-tableau engine: such snapshots still
+   load, as the sparse tableau (the engine a tag-0 constraint-generation
+   session ran). A tag no engine ever had is corrupt. The encoder can no
+   longer emit either, so the test forges them: it rewrites the tag byte
+   in the config section and recomputes the fingerprint over the
+   sections. *)
+let test_plan_lp_backend_tags () =
+  let _, cfg, plan = square_plan () in
+  let with_lp b =
+    Offline.with_core R3_core.Config.(cfg.Offline.core |> with_lp_backend b) cfg
+  in
+  (* (graph, config, workload) sections and the raw routing tail *)
+  let sections path =
+    let payload =
+      ok_exn "frame"
+        (Codec.read_framed path ~magic:Plan_store.magic ~version:Plan_store.version)
+    in
+    let r = Codec.R.of_string payload in
+    ignore (Codec.R.string r);
+    let gs = Codec.R.string r in
+    let cs = Codec.R.string r in
+    let ws = Codec.R.string r in
+    let n = Codec.R.remaining r in
+    (gs, cs, ws, String.sub payload (String.length payload - n) n)
+  in
+  let saved b =
+    with_tmp ".plan" (fun path ->
+        Plan_store.save path ~config:(with_lp b) plan;
+        sections path)
+  in
+  let gs, cs, ws, tail = saved `Sparse in
+  let _, cs_rev, _, _ = saved `Revised in
+  (* the one byte where the two configs differ is the LP tag *)
+  let tag_at =
+    let rec find i = if cs.[i] <> cs_rev.[i] then i else find (i + 1) in
+    find 0
+  in
+  Alcotest.(check int) "sparse tag" 1 (Char.code cs.[tag_at]);
+  Alcotest.(check int) "revised tag" 2 (Char.code cs_rev.[tag_at]);
+  let load_with_tag tag =
+    let cs = Bytes.of_string cs in
+    Bytes.set cs tag_at (Char.chr tag);
+    let cs = Bytes.to_string cs in
+    let w = Codec.W.create () in
+    Codec.W.string w (Digest.to_hex (Digest.string (gs ^ cs ^ ws)));
+    List.iter (Codec.W.string w) [ gs; cs; ws ];
+    with_tmp ".plan" (fun path ->
+        Codec.write_framed path ~magic:Plan_store.magic ~version:Plan_store.version
+          (Codec.W.contents w ^ tail);
+        Plan_store.load path)
+  in
+  let plan', cfg' = ok_exn "tag 0" (load_with_tag 0) in
+  check_plans_equal plan plan';
+  Alcotest.(check bool) "tag 0 reports the tableau" true
+    (cfg'.Offline.core.R3_core.Config.lp_backend = `Sparse);
+  check_mentions "tag 3" "lp backend" (err_exn "tag 3" (load_with_tag 3))
+
 let test_plan_inspect () =
   let g, cfg, plan = square_plan () in
   with_tmp ".plan" (fun path ->
@@ -464,6 +522,7 @@ let suite =
       test_plan_wrong_topology_rejected;
     Alcotest.test_case "corruption and version bump rejected" `Quick
       test_plan_corruption_rejected;
+    Alcotest.test_case "legacy LP backend tags" `Quick test_plan_lp_backend_tags;
     Alcotest.test_case "plan inspect" `Quick test_plan_inspect;
     Alcotest.test_case "traffic matrix round-trip" `Quick
       test_traffic_roundtrip;

@@ -113,18 +113,14 @@ let test_domains_agree () =
       one.Sweep.worst
   in
   Alcotest.(check int) "scenario count" (List.length scenarios) one.Sweep.scenario_count;
-  (* dynamic pool fan-out across the issue's domain ladder... *)
+  (* dynamic pool fan-out across the 2/4/8-domain ladder *)
   List.iter
     (fun d ->
       check_against
         (Printf.sprintf "1 vs %d domains" d)
         (Sweep.run ~metric:`Bottleneck ~domains:d env ~algorithms:r3_algorithms
            scenarios))
-    [ 2; 4; 8 ];
-  (* ...and the retired fork/join baseline arm must match too *)
-  check_against "1 vs fork/join baseline"
-    (Sweep.run ~metric:`Bottleneck ~domains:4 ~fanout:`Forkjoin env
-       ~algorithms:r3_algorithms scenarios)
+    [ 2; 4; 8 ]
 
 let test_cache_warm_identical () =
   let g, env = Lazy.force env in
@@ -256,43 +252,6 @@ let test_scenario_canonical () =
   Alcotest.(check bool) "prefix sorts first" true (Sc.compare a c < 0);
   Alcotest.(check bool) "empty" true (Sc.is_empty (Sc.of_links g []))
 
-(* The deprecated wrappers must keep producing what the new API produces. *)
-module Legacy = struct
-  [@@@ocaml.alert "-deprecated"]
-
-  let expand = S.expand
-  let all_k = S.all_k
-  let sample_k = S.sample_k
-  let sorted_curves = E.sorted_curves
-end
-
-let test_legacy_wrappers_agree () =
-  let legacy_expand = Legacy.expand in
-  let legacy_all_k = Legacy.all_k in
-  let legacy_sample_k = Legacy.sample_k in
-  let legacy_sorted_curves = Legacy.sorted_curves in
-  let g, env = Lazy.force env in
-  let phys = S.physical_links g in
-  Alcotest.(check (list int)) "expand"
-    (Sc.links (Sc.of_links g [ phys.(2) ]))
-    (legacy_expand g [ phys.(2) ]);
-  Alcotest.(check int) "all_k count"
-    (List.length (S.enumerate g ~k:2))
-    (List.length (legacy_all_k g ~k:2));
-  List.iter2
-    (fun sc raw ->
-      Alcotest.(check (list int)) "sample_k draws" (Sc.links sc) raw)
-    (S.sample g ~k:2 ~count:10 ~seed:3)
-    (legacy_sample_k g ~k:2 ~count:10 ~seed:3);
-  let scenarios = S.enumerate g ~k:1 in
-  let legacy =
-    legacy_sorted_curves env ~algorithms:r3_algorithms
-      ~scenarios:(List.map Sc.links scenarios) ~metric:`Bottleneck ()
-  in
-  check_bits "sorted_curves"
-    (Sweep.curves ~metric:`Bottleneck env ~algorithms:r3_algorithms scenarios)
-    legacy
-
 let suite =
   [
     Alcotest.test_case "scenario canonical form" `Quick test_scenario_canonical;
@@ -305,5 +264,4 @@ let suite =
     Alcotest.test_case "mcf cache NaN dirty bit" `Quick
       test_cache_nan_dirty_regression;
     Alcotest.test_case "undefined ratios counted" `Quick test_undefined_ratios_counted;
-    Alcotest.test_case "legacy wrappers agree" `Quick test_legacy_wrappers_agree;
   ]
