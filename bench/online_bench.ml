@@ -32,9 +32,7 @@ let channels () =
 let quantile p arr = R3_util.Stats.percentile p arr
 
 let one_case ~repeats ~events name g channel =
-  let root =
-    Reconfig_bench.make_state g ~backend:R3_net.Routing.Backend.Sparse ~seed:11
-  in
+  let root = Reconfig_bench.make_state g ~seed:11 in
   let schedule = Online.generate g ~seed:23 ~events ~max_concurrent:2 () in
   let n_events = List.length schedule in
   let run () = Online.run ~channel ~seed:23 root schedule in
@@ -87,10 +85,7 @@ let run () =
        recomputing per delivery would break the bounds. *)
     let module M = R3_util.Metrics in
     let g = Topology.abilene () in
-    let root =
-      Reconfig_bench.make_state g ~backend:R3_net.Routing.Backend.Sparse
-        ~seed:11
-    in
+    let root = Reconfig_bench.make_state g ~seed:11 in
     let schedule = Online.generate g ~seed:5 ~events:200 ~max_concurrent:2 () in
     List.iter
       (fun channel ->

@@ -38,13 +38,6 @@ let load_arg =
 
 (* ---- unified backend configuration (shared across subcommands) ---- *)
 
-let routing_backend_arg =
-  Arg.(
-    value
-    & opt string "sparse"
-    & info [ "routing-backend" ] ~docv:"dense|sparse|auto"
-        ~doc:"Row storage for the extracted protection routing.")
-
 let lp_backend_arg =
   Arg.(
     value
@@ -64,18 +57,16 @@ let domains_arg =
            (sweep fan-out, CG separation oracles, online replay) runs on; \
            $(b,auto) keeps the machine-derived default.")
 
-(* One R3_core.Config.t from --lp-backend/--routing-backend/--seed/
-   --domains; the same record the bench harnesses build
-   programmatically. Applies the domains knob to the shared pool as a
-   side effect, so every subcommand using this term honors one
-   --domains flag. *)
+(* One R3_core.Config.t from --lp-backend/--seed/--domains; the same
+   record the bench harnesses build programmatically. Applies the domains
+   knob to the shared pool as a side effect, so every subcommand using
+   this term honors one --domains flag. *)
 let core_config_term =
-  let build lp routing seed domains =
+  let build lp seed domains =
     let ( >>= ) r f = Result.bind r f in
     match
       Ok R3_core.Config.(default |> with_seed seed)
       >>= R3_core.Config.with_lp_backend_string lp
-      >>= R3_core.Config.with_routing_backend_string routing
       >>= R3_core.Config.with_domains_string domains
     with
     | Ok c ->
@@ -85,7 +76,7 @@ let core_config_term =
       Printf.eprintf "%s\n" msg;
       exit 2
   in
-  Term.(const build $ lp_backend_arg $ routing_backend_arg $ seed_arg $ domains_arg)
+  Term.(const build $ lp_backend_arg $ seed_arg $ domains_arg)
 
 (* ---- metrics export (shared by sweep / precompute / profile) ---- *)
 
@@ -732,11 +723,8 @@ let plan_inspect path =
       | Offline.Constraint_gen -> "constraint generation")
       (R3_lp.Problem.backend_name i.config.Offline.core.R3_core.Config.lp_backend)
       i.config.Offline.core.R3_core.Config.seed;
-    Printf.printf "  row storage %s backend; %d/%d sparse rows (base), %d/%d \
-                   sparse rows (protection)\n"
-      (R3_net.Routing.Backend.to_string
-         i.config.Offline.core.R3_core.Config.routing_backend)
-      i.base_sparse_rows i.commodities i.protection_sparse_rows i.links
+    Printf.printf "  row storage %d nonzeros (base), %d nonzeros (protection)\n"
+      i.base_nnz i.protection_nnz
 
 let plan_cmd =
   let path_arg =

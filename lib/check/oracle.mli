@@ -5,9 +5,10 @@
     oracle-internal randomness) and checks one equivalence or theorem the
     codebase promises:
 
-    - the three LP backends agree on constraint-generation plans;
-    - the Dense/Sparse/Auto routing backends stay bit-identical under
-      random failure folding;
+    - the tableau and revised LP engines agree on constraint-generation
+      plans;
+    - random fail/recover folds on the sparse routing substrate equal a
+      dense-matrix reference of equations (8)–(10) bit for bit;
     - sequential fail/recover folds land on the canonical batch state and
       recovery restores the pristine plan (Theorem 3);
     - the online runtime over a fault-injected channel reaches the same

@@ -1,6 +1,5 @@
 type t = {
   lp_backend : R3_lp.Problem.backend;
-  routing_backend : R3_net.Routing.Backend.t;
   seed : int;
   mcf_epsilon : float;
   rescale_tol : float;
@@ -10,7 +9,6 @@ type t = {
 let default =
   {
     lp_backend = `Revised;
-    routing_backend = R3_net.Routing.Backend.Sparse;
     seed = 42;
     mcf_epsilon = 0.06;
     rescale_tol = 1e-9;
@@ -18,7 +16,6 @@ let default =
   }
 
 let with_lp_backend b t = { t with lp_backend = b }
-let with_routing_backend b t = { t with routing_backend = b }
 let with_seed seed t = { t with seed }
 let with_mcf_epsilon mcf_epsilon t = { t with mcf_epsilon }
 let with_rescale_tol rescale_tol t = { t with rescale_tol }
@@ -50,19 +47,10 @@ let with_domains_string s t =
       Error
         (Printf.sprintf "bad domain count %S (use a positive integer or auto)" s))
 
-let with_routing_backend_string s t =
-  match R3_net.Routing.Backend.of_string s with
-  | Some b -> Ok (with_routing_backend b t)
-  | None ->
-    Error
-      (Printf.sprintf "unknown routing backend %S (use dense, sparse or auto)" s)
-
 let to_json t =
   R3_util.Json.Obj
     [
       ("lp_backend", R3_util.Json.String (R3_lp.Problem.backend_name t.lp_backend));
-      ( "routing_backend",
-        R3_util.Json.String (R3_net.Routing.Backend.to_string t.routing_backend) );
       ("seed", R3_util.Json.Int t.seed);
       ("mcf_epsilon", R3_util.Json.Float t.mcf_epsilon);
       ("rescale_tol", R3_util.Json.Float t.rescale_tol);

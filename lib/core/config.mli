@@ -2,9 +2,8 @@
 
     One record carries every cross-cutting knob that used to be plumbed
     flag-by-flag through [Offline.config], the [r3] CLI and the bench
-    harnesses: which simplex engine solves the offline LPs, which row
-    storage holds the extracted protection routing, the workload PRNG
-    seed, and the two numeric tolerances shared by the online phase
+    harnesses: which simplex engine solves the offline LPs, the workload
+    PRNG seed, and the two numeric tolerances shared by the online phase
     (detour rescaling) and the evaluation normalizer (optimal-MCF
     accuracy). Build one with {!default} and the builder-style [with_*]
     functions:
@@ -13,16 +12,13 @@
 
     [Offline.default_config ?config] embeds the record in the offline
     configuration; [r3] subcommands build it from [--lp-backend],
-    [--routing-backend], [--seed] and [--domains]; bench harnesses
-    construct per-backend variants with the builders. *)
+    [--seed] and [--domains]; bench harnesses construct per-backend
+    variants with the builders. *)
 
 type t = {
   lp_backend : R3_lp.Problem.backend;
       (** simplex engine for offline LP solves and warm sessions
           (default [`Revised]) *)
-  routing_backend : R3_net.Routing.Backend.t;
-      (** row storage for the extracted protection routing
-          (default [Sparse]) *)
   seed : int;  (** workload PRNG seed (default 42) *)
   mcf_epsilon : float;
       (** accuracy of the optimal-MCF evaluation normalizer
@@ -43,7 +39,6 @@ val default : t
 (** {2 Builders (pipe style: [Config.(default |> with_seed 7)])} *)
 
 val with_lp_backend : R3_lp.Problem.backend -> t -> t
-val with_routing_backend : R3_net.Routing.Backend.t -> t -> t
 val with_seed : int -> t -> t
 val with_mcf_epsilon : float -> t -> t
 val with_rescale_tol : float -> t -> t
@@ -61,10 +56,6 @@ val apply_domains : t -> unit
     accepted by {!R3_lp.Problem.backend_of_string});
     [Error] carries a usable message otherwise. *)
 val with_lp_backend_string : string -> t -> (t, string) result
-
-(** [with_routing_backend_string s t]: [s] is one of [dense], [sparse],
-    [auto]. *)
-val with_routing_backend_string : string -> t -> (t, string) result
 
 (** [with_domains_string s t]: a positive integer, or [auto] to keep the
     machine-derived pool size. *)

@@ -35,8 +35,8 @@ let routing_constraints lp g ~pairs vars =
       done)
     pairs
 
-let extract_routing ?backend sol g ~pairs vars =
-  let t = R3_net.Routing.create ?backend g ~pairs in
+let extract_routing sol g ~pairs vars =
+  let t = R3_net.Routing.create g ~pairs in
   Array.iteri
     (fun k row ->
       Array.iteri

@@ -190,12 +190,9 @@ let base_terms base_load (demand_arrs : float array array) h e =
   | Terms f -> (f demand_arrs.(h) e, 0.0)
   | Const loads -> ([], loads.(h).(e))
 
-let finish ~(cfg : config) lp sol g pairs p_vars r_vars base_spec mlu_var =
-  (* Protection rows have support the size of one detour path; the base
-     routing spreads over much of the network and stays dense. *)
+let finish sol g pairs p_vars r_vars base_spec mlu_var =
   let protection =
-    Lp_build.extract_routing ~backend:cfg.core.Config.routing_backend sol g
-      ~pairs:(Lp_build.link_pairs g) p_vars
+    Lp_build.extract_routing sol g ~pairs:(Lp_build.link_pairs g) p_vars
   in
   let base =
     match (base_spec, r_vars) with
@@ -204,7 +201,6 @@ let finish ~(cfg : config) lp sol g pairs p_vars r_vars base_spec mlu_var =
     | Joint, None -> assert false
   in
   let mlu = sol.P.value mlu_var in
-  ignore lp;
   (base, protection, mlu)
 
 (* ---- Method 1: full dualization, the paper's LP (7). ---- *)
@@ -254,7 +250,7 @@ let compute_dualized (cfg : config) g tms base_spec =
   with
   | Error _ as e -> e
   | Ok sol ->
-    let base, protection, mlu_val = finish ~cfg lp sol g pairs p_vars r_vars base_spec mlu in
+    let base, protection, mlu_val = finish sol g pairs p_vars r_vars base_spec mlu in
     Ok
       {
         graph = g;
@@ -375,7 +371,7 @@ let compute_cg (cfg : config) g tms base_spec =
         R3_util.Metrics.add Obs.cg_cuts !violated;
         if !violated = 0 || not budget_left then begin
           Obs.T.add_attr "cg_rounds" (Obs.T.Int round);
-          let base, protection, mlu_val = finish ~cfg lp sol g pairs p_vars r_vars base_spec mlu in
+          let base, protection, mlu_val = finish sol g pairs p_vars r_vars base_spec mlu in
           let mlu_val =
             if !violated = 0 then mlu_val
             else begin

@@ -42,10 +42,7 @@ type config = {
   core : Config.t;
       (** the unified backend/seed/tolerance bundle ({!Config.t}):
           [lp_backend] selects the simplex engine for cold solves and warm
-          sessions, [routing_backend] the row storage for the extracted
-          {e protection} routing (the base routing is always extracted
-          dense). Replaces the per-field [lp_backend]/[routing_backend]
-          plumbing. *)
+          sessions. *)
 }
 
 val default_config : f:int -> config

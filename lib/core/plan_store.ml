@@ -78,15 +78,15 @@ let lp_backend_of_tag = function
   | 2 -> `Revised
   | n -> raise (R.Corrupt (Printf.sprintf "unknown lp backend tag %d" n))
 
-let routing_backend_tag = function
-  | Routing.Backend.Dense -> 0
-  | Routing.Backend.Sparse -> 1
-  | Routing.Backend.Auto -> 2
+(* The config section and every routing once named a row storage
+   backend (0 dense, 1 sparse, 2 auto). Rows are always sparse now: the
+   encoder writes the constant [sparse_tag] in both places, and the
+   decoder accepts the three old tags and ignores them. *)
+let sparse_tag = 1
 
-let routing_backend_of_tag = function
-  | 0 -> Routing.Backend.Dense
-  | 1 -> Routing.Backend.Sparse
-  | 2 -> Routing.Backend.Auto
+let skip_routing_backend_tag r =
+  match R.u8 r with
+  | 0 | 1 | 2 -> ()
   | n -> raise (R.Corrupt (Printf.sprintf "unknown routing backend tag %d" n))
 
 let enc_config (cfg : Offline.config) =
@@ -104,7 +104,7 @@ let enc_config (cfg : Offline.config) =
   W.i32 w cfg.cg_max_rounds;
   W.bool w cfg.cg_warm_start;
   W.u8 w (lp_backend_tag cfg.core.lp_backend);
-  W.u8 w (routing_backend_tag cfg.core.routing_backend);
+  W.u8 w sparse_tag;
   W.int w cfg.core.seed;
   W.float w cfg.core.mcf_epsilon;
   W.float w cfg.core.rescale_tol;
@@ -126,7 +126,7 @@ let dec_config s : Offline.config =
   let cg_max_rounds = R.i32 r in
   let cg_warm_start = R.bool r in
   let lp_backend = lp_backend_of_tag (R.u8 r) in
-  let routing_backend = routing_backend_of_tag (R.u8 r) in
+  skip_routing_backend_tag r;
   let seed = R.int r in
   let mcf_epsilon = R.float r in
   let rescale_tol = R.float r in
@@ -143,8 +143,7 @@ let dec_config s : Offline.config =
     (* [domains] is an execution knob (results are domain-count
        independent), so it is deliberately not part of the snapshot
        format or its fingerprint. *)
-    core =
-      { lp_backend; routing_backend; seed; mcf_epsilon; rescale_tol; domains = None };
+    core = { lp_backend; seed; mcf_epsilon; rescale_tol; domains = None };
   }
 
 (* --- workload section (commodities + demands) -------------------------- *)
@@ -178,12 +177,10 @@ let dec_workload s =
 
 (* --- routings ---------------------------------------------------------- *)
 
-(* Rows are written in their exact stored representation (dense payloads
-   dense, sparse payloads sparse) so a reload reproduces not just the
-   values but the storage mix — an [Auto] routing keeps whatever
-   densification decisions the solve made. *)
+(* Rows are written as stored (payload tag 1: ascending indices and their
+   values), so a reload reproduces every stored entry bit for bit. *)
 let enc_routing w rt =
-  W.u8 w (routing_backend_tag (Routing.backend rt));
+  W.u8 w sparse_tag;
   let nk = Routing.num_commodities rt in
   W.i32 w nk;
   Array.iter
@@ -192,19 +189,16 @@ let enc_routing w rt =
       W.i32 w b)
     (Routing.pairs rt);
   for k = 0 to nk - 1 do
-    match Routing.row_storage rt k with
-    | `Dense a ->
-      W.u8 w 0;
-      W.float_array w a
-    | `Sparse v ->
-      W.u8 w 1;
-      let idx, vals, n = Rowvec.raw v in
-      W.int_array w (Array.sub idx 0 n);
-      W.float_array w (Array.sub vals 0 n)
+    let idx, vals, n = Rowvec.raw (Routing.row_storage rt k) in
+    W.u8 w sparse_tag;
+    W.int_array w (Array.sub idx 0 n);
+    W.float_array w (Array.sub vals 0 n)
   done
 
+(* Payload tag 0 is a legacy dense row over all [m] links; it loads as
+   its nonzeros. *)
 let dec_routing r g =
-  let backend = routing_backend_of_tag (R.u8 r) in
+  skip_routing_backend_tag r;
   let nk = R.i32 r in
   if nk < 0 then raise (R.Corrupt "negative routing row count");
   let pairs =
@@ -213,11 +207,15 @@ let dec_routing r g =
         let b = R.i32 r in
         (a, b))
   in
-  let rt = Routing.create ~backend g ~pairs in
+  let rt = Routing.create g ~pairs in
   for k = 0 to nk - 1 do
-    let storage =
+    let row =
       match R.u8 r with
-      | 0 -> `Dense (R.float_array r)
+      | 0 ->
+        let a = R.float_array r in
+        if Array.length a <> G.num_links g then
+          raise (R.Corrupt "dense row length does not match link count");
+        Rowvec.of_dense a
       | 1 ->
         let idx = R.int_array r in
         let vals = R.float_array r in
@@ -228,10 +226,10 @@ let dec_routing r g =
           if idx.(i - 1) >= idx.(i) then
             raise (R.Corrupt "sparse row indices not strictly ascending")
         done;
-        `Sparse (Rowvec.of_sorted idx vals n)
+        Rowvec.of_sorted idx vals n
       | t -> raise (R.Corrupt (Printf.sprintf "unknown row payload tag %d" t))
     in
-    try Routing.set_row_storage rt k storage
+    try Routing.set_row_storage rt k row
     with Invalid_argument msg -> raise (R.Corrupt msg)
   done;
   rt
@@ -295,7 +293,7 @@ let decode_payload payload =
   let plan : Offline.plan =
     { graph; f; pairs; demands; base; protection; mlu; lp_vars; lp_rows; lp_pivots }
   in
-  (plan, config, actual_fp, gs, cs)
+  (plan, config, actual_fp, gs)
 
 let load ?expect_graph ?expect_config path =
   match Codec.read_framed path ~magic ~version with
@@ -304,7 +302,7 @@ let load ?expect_graph ?expect_config path =
     match decode_payload payload with
     | exception R.Corrupt msg ->
       Error (Printf.sprintf "%s: malformed plan snapshot: %s" path msg)
-    | plan, config, _fp, gs, cs ->
+    | plan, config, _fp, gs ->
       let graph_ok =
         match expect_graph with
         | Some g when enc_graph g <> gs ->
@@ -317,9 +315,11 @@ let load ?expect_graph ?expect_config path =
                (G.num_links plan.graph))
         | _ -> Ok ()
       in
+      (* Compared after a decode/encode round so retired tags that decode
+         to today's values (see [lp_backend_of_tag]) still match. *)
       let config_ok =
         match expect_config with
-        | Some c when enc_config c <> cs ->
+        | Some c when enc_config c <> enc_config config ->
           Error
             (Printf.sprintf
                "%s: plan was solved under a different configuration" path)
@@ -340,8 +340,8 @@ type info = {
   mlu : float;
   solve_method : Offline.method_;
   config : Offline.config;
-  base_sparse_rows : int;
-  protection_sparse_rows : int;
+  base_nnz : int;
+  protection_nnz : int;
 }
 
 let inspect path =
@@ -351,7 +351,7 @@ let inspect path =
     match decode_payload payload with
     | exception R.Corrupt msg ->
       Error (Printf.sprintf "%s: malformed plan snapshot: %s" path msg)
-    | plan, config, fp, _gs, _cs ->
+    | plan, config, fp, _gs ->
       let bytes = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
       Ok
         {
@@ -365,8 +365,8 @@ let inspect path =
           mlu = plan.mlu;
           solve_method = config.solve_method;
           config;
-          base_sparse_rows = Routing.sparse_rows plan.base;
-          protection_sparse_rows = Routing.sparse_rows plan.protection;
+          base_nnz = Routing.nnz plan.base;
+          protection_nnz = Routing.nnz plan.protection;
         })
 
 (* --- traffic snapshots ------------------------------------------------- *)

@@ -3,8 +3,8 @@
     The expensive half of R3 — solving the offline LP for the protection
     routing [p] — happens once; the artifact it produces {e is} the
     deployable object. This module writes a complete {!Offline.plan}
-    (graph, commodities, demands, base and protection routings with their
-    exact dense/sparse row payloads, optimum MLU, LP statistics, and the
+    (graph, commodities, demands, base and protection routings with every
+    stored row entry, optimum MLU, LP statistics, and the
     {!Offline.config} it was solved under) as a versioned, CRC-checked
     binary snapshot via {!R3_util.Codec}, and reads it back bit-identically:
     a reloaded plan steps through {!Reconfig} to exactly the states the
@@ -63,8 +63,8 @@ type info = {
   mlu : float;
   solve_method : Offline.method_;
   config : Offline.config;
-  base_sparse_rows : int;
-  protection_sparse_rows : int;
+  base_nnz : int;  (** stored nonzeros of the base routing *)
+  protection_nnz : int;  (** stored nonzeros of the protection routing *)
 }
 
 val inspect : string -> (info, string) result

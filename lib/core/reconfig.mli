@@ -82,10 +82,10 @@ val apply_failures : state -> R3_net.Graph.link list -> state
 
 (** True iff the two states have the same failure set and bit-identical
     base and protection routings (compared via [Int64.bits_of_float] on
-    the dense image, so [-0.0] differs from [+0.0] and storage backend
-    does not matter — see {!R3_net.Routing.bit_identical}, which computes
-    that answer on native row storage). The equivalence check used by the
-    tests for [fail]-vs-replay folds and dense-vs-sparse backends. *)
+    the dense image, so [-0.0] differs from [+0.0] — see
+    {!R3_net.Routing.bit_identical}, which computes that answer on native
+    row storage). The equivalence check used by the tests for
+    [fail]-vs-replay folds. *)
 val states_bit_identical : state -> state -> bool
 
 (** Per-link load of the real traffic under the current base routing. *)

@@ -5,16 +5,14 @@
     fraction [get t k e] of the commodity's traffic crossing each directed
     link [e]. Validity is conditions [R1]–[R4] of equation (1).
 
-    Storage is abstract: each row is held either {e dense} (a
-    [float array] over all [m] links) or {e sparse} (an
-    {!R3_util.Rowvec.t} over its support). Protection and detour rows have
-    support the size of a short path, so sparse rows turn the online
-    reconfiguration kernels ({!fold_failure}, {!add_loads}) from O(m) into
-    O(nnz) per row. The two representations are {b bit-identical}: sparse
-    rows use an exact-zero drop tolerance, every kernel iterates in
-    increasing link order, and {!set} normalizes [-0.0] to [+0.0], so any
-    sequence of builder calls and failure folds yields the same float
-    bits under every backend (property-tested in [test/test_substrate.ml]).
+    Storage is abstract: each row is one {!R3_util.Rowvec.t} over its
+    support. Protection and detour rows have support the size of a short
+    path, so the online reconfiguration kernels ({!fold_failure},
+    {!add_loads}) cost O(nnz) per touched row, and a failure fold visits
+    only the rows the failed link touches. The builders never store an
+    exact zero of either sign, every kernel iterates in increasing link
+    order, and the fold arithmetic reproduces a dense-matrix fold bit for
+    bit (checked against the dense reference in [R3_check.Fold_ref]).
 
     Rows are copy-on-write: {!copy} and {!fold_failure} share untouched
     row payloads between states, and {!set} un-shares a row before
@@ -26,30 +24,10 @@
     is published atomically only once fully built. Mutators ({!set},
     {!set_row_dense}) still require exclusive access to the routing. *)
 
-module Backend : sig
-  type t =
-    | Dense  (** every row a [float array] of length [m] *)
-    | Sparse  (** every row an [R3_util.Rowvec.t] *)
-    | Auto
-        (** per-row: sparse while the row's support stays under
-            {!auto_nnz_ratio} of [m], dense otherwise *)
-
-  val to_string : t -> string
-  val of_string : string -> t option
-end
-
-(** Rows under [Auto] switch to dense storage when
-    [nnz > auto_nnz_ratio *. m]. *)
-val auto_nnz_ratio : float
-
 type t
 
-(** All-zero routing for the given commodities (default backend
-    [Backend.Dense]). *)
-val create :
-  ?backend:Backend.t -> Graph.t -> pairs:(Graph.node * Graph.node) array -> t
-
-val backend : t -> Backend.t
+(** All-zero routing for the given commodities. *)
+val create : Graph.t -> pairs:(Graph.node * Graph.node) array -> t
 
 val num_commodities : t -> int
 
@@ -68,15 +46,14 @@ val copy : t -> t
 
 (** {2 Row access}
 
-    All iteration visits stored nonzeros in increasing link order; dense
-    rows skip exact zeros. *)
+    All iteration visits stored nonzeros in increasing link order. *)
 
-(** [get t k e] is the fraction of commodity [k] on link [e]. O(1) dense,
-    O(log nnz) sparse. *)
+(** [get t k e] is the fraction of commodity [k] on link [e];
+    O(log nnz). *)
 val get : t -> int -> Graph.link -> float
 
-(** [set t k e x] writes one entry ([-0.0] is normalized to [+0.0];
-    exact zeros are structural in sparse rows). Un-shares the row first. *)
+(** [set t k e x] writes one entry (an exact zero of either sign removes
+    it). Un-shares the row first. *)
 val set : t -> int -> Graph.link -> float -> unit
 
 (** Apply [f e x] to commodity [k]'s nonzero entries, ascending [e]. *)
@@ -84,32 +61,24 @@ val iter_row : t -> int -> (Graph.link -> float -> unit) -> unit
 
 val fold_row : t -> int -> init:'a -> f:('a -> Graph.link -> float -> 'a) -> 'a
 
-(** Stored nonzeros of row [k] (dense rows are scanned). *)
+(** Stored nonzeros of row [k]. *)
 val row_nnz : t -> int -> int
 
 (** Fresh dense copy of row [k]. *)
 val row_dense : t -> int -> float array
 
-(** Fresh sparse copy of row [k] (exact-zero drop tolerance). *)
-val row_vec : t -> int -> R3_util.Rowvec.t
-
-(** [set_row_dense t k row] replaces row [k] with the given dense values
-    (converted to the row's backend representation; [row] not retained). *)
+(** [set_row_dense t k row] replaces row [k] with the nonzeros of [row]
+    ([row] not retained). *)
 val set_row_dense : t -> int -> float array -> unit
 
-(** [row_storage t k] is the exact stored representation of row [k] —
-    dense rows come back dense, sparse rows sparse (fresh copies). The
-    plan store uses this so a snapshot preserves the payload mix, not
-    just the values. *)
-val row_storage : t -> int -> [ `Dense of float array | `Sparse of R3_util.Rowvec.t ]
+(** [row_storage t k] is a fresh copy of row [k] as stored. The plan store
+    uses this to write a snapshot. *)
+val row_storage : t -> int -> R3_util.Rowvec.t
 
-(** [set_row_storage t k s] installs exactly the given representation as
-    row [k] (taking ownership of the array/vector), bypassing the
-    backend's usual conversion — the inverse of {!row_storage}. Raises
-    [Invalid_argument] on a dense length or sparse index that does not
-    fit the link space. *)
-val set_row_storage :
-  t -> int -> [ `Dense of float array | `Sparse of R3_util.Rowvec.t ] -> unit
+(** [set_row_storage t k r] installs [r] as row [k], taking ownership of
+    it — the inverse of {!row_storage}. Raises [Invalid_argument] on an
+    index outside the link space. *)
+val set_row_storage : t -> int -> R3_util.Rowvec.t -> unit
 
 (** [to_dense_matrix t] is every row as a fresh dense array — the
     representation-independent image used by equality checks and tests. *)
@@ -117,18 +86,10 @@ val to_dense_matrix : t -> float array array
 
 (** [bit_identical a b] is true iff [to_dense_matrix a] and
     [to_dense_matrix b] are equal bit for bit ([Int64.bits_of_float] per
-    entry, so [-0.0] differs from [+0.0] and storage backend does not
-    matter), computed on native row storage: payloads shared
-    copy-on-write ([==]) are skipped, dense/dense and sparse/sparse rows
-    are compared directly, and only mixed pairs are densified. *)
+    entry, so [-0.0] differs from [+0.0]), computed on native row storage
+    without densifying: payloads shared copy-on-write ([==]) are
+    skipped. *)
 val bit_identical : t -> t -> bool
-
-(** {2 Storage statistics} *)
-
-(** Rows currently held sparse / dense. *)
-val sparse_rows : t -> int
-
-val dense_rows : t -> int
 
 (** Total stored nonzeros across all rows. *)
 val nnz : t -> int
@@ -136,10 +97,9 @@ val nnz : t -> int
 (** {2 Failure folding (the R3 online kernels)} *)
 
 (** Pre-build the column support index {!fold_failure} uses to find
-    candidate rows (no-op for the [Dense] backend, or when already
-    built). [Reconfig.make] calls this so parallel workers stepping a
-    shared root state find the index ready instead of each building it
-    on their first fold. *)
+    candidate rows (no-op when already built). [Reconfig.make] calls
+    this so parallel workers stepping a shared root state find the index
+    ready instead of each building it on their first fold. *)
 val prepare : t -> unit
 
 (** [rescale_detour t e] is the detour [xi_e] of equation (8) computed
@@ -186,8 +146,8 @@ val validate :
     [demands] must be parallel to the commodity array. *)
 val loads : Graph.t -> demands:float array -> t -> float array
 
-(** Add [loads] of this routing into an accumulator array. Sparse rows
-    contribute O(nnz) work. *)
+(** Add [loads] of this routing into an accumulator array; O(nnz) per
+    row. *)
 val add_loads : Graph.t -> demands:float array -> t -> into:float array -> unit
 
 (** Maximum link utilization given per-link loads. *)

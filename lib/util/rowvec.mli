@@ -3,8 +3,8 @@
     One sorted-index sparse row (CSR-style: parallel [idx]/[v] arrays with
     an explicit length), used both by the simplex tableau
     ([R3_lp.Sparse], drop tolerance 1e-14) and by the routing storage
-    substrate ([R3_net.Routing], drop tolerance exactly [0.0] so sparse
-    and dense backends stay bit-identical).
+    substrate ([R3_net.Routing], drop tolerance exactly [0.0] so a row's
+    dense image matches a dense-matrix computation bit for bit).
 
     Every kernel takes the drop tolerance as an explicit [?drop]
     parameter, defaulting to [0.0]: an entry is {e kept} iff

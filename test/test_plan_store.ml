@@ -169,13 +169,12 @@ let test_frame_rejections () =
 (* ---- plan snapshots ---- *)
 
 (* Small square-fixture plan: fast to solve, exercises real LP output. *)
-let square_plan ?(backend = R3_net.Routing.Backend.Sparse) () =
+let square_plan () =
   let g = Topology.square () in
   let tm = Traffic.zeros 4 in
   tm.(0).(2) <- 2.0;
   tm.(1).(3) <- 1.5;
-  let core = R3_core.Config.(default |> with_routing_backend backend) in
-  let cfg = Offline.with_core core (Offline.default_config ~f:1) in
+  let cfg = Offline.default_config ~f:1 in
   (g, cfg, plan_exn (Offline.compute cfg g tm Offline.Joint))
 
 let routing_bits r =
@@ -216,13 +215,6 @@ let test_plan_roundtrip () =
       Alcotest.(check bool) "reconfig bits equal after failure" true
         (Reconfig.states_bit_identical (Reconfig.fail a sc)
            (Reconfig.fail b sc)))
-
-let test_plan_roundtrip_dense_backend () =
-  let _, cfg, plan = square_plan ~backend:R3_net.Routing.Backend.Dense () in
-  with_tmp ".plan" (fun path ->
-      Plan_store.save path ~config:cfg plan;
-      let plan', _ = ok_exn "load" (Plan_store.load path) in
-      check_plans_equal plan plan')
 
 let test_plan_survives_verification () =
   let _, cfg, plan = square_plan () in
@@ -267,63 +259,136 @@ let test_plan_corruption_rejected () =
       check_mentions "bumped version" "version"
         (err_exn "bumped version" (Plan_store.load path)))
 
+(* Retired tags can no longer be written by the encoder, so the legacy
+   tests forge snapshots: they take a saved snapshot apart, rewrite
+   bytes, and frame the result again with the fingerprint recomputed
+   over the sections, as [Plan_store.save] does. *)
+
+let with_lp b cfg =
+  Offline.with_core R3_core.Config.(cfg.Offline.core |> with_lp_backend b) cfg
+
+(* The (graph, config, workload) sections of [cfg]'s snapshot of [plan]
+   and the raw tail after them (routings, MLU, LP statistics). *)
+let snapshot_sections cfg plan =
+  with_tmp ".plan" (fun path ->
+      Plan_store.save path ~config:cfg plan;
+      let payload =
+        ok_exn "frame"
+          (Codec.read_framed path ~magic:Plan_store.magic ~version:Plan_store.version)
+      in
+      let r = Codec.R.of_string payload in
+      ignore (Codec.R.string r);
+      let gs = Codec.R.string r in
+      let cs = Codec.R.string r in
+      let ws = Codec.R.string r in
+      let n = Codec.R.remaining r in
+      (gs, cs, ws, String.sub payload (String.length payload - n) n))
+
+(* Offset of the LP engine tag in a config section: the one byte where
+   the tableau and revised config sections differ. *)
+let lp_tag_at cs_tab cs_rev =
+  let rec find i = if cs_tab.[i] <> cs_rev.[i] then i else find (i + 1) in
+  find 0
+
+let with_byte s pos tag =
+  let b = Bytes.of_string s in
+  Bytes.set b pos (Char.chr tag);
+  Bytes.to_string b
+
+let load_forged ?expect_config ~gs ~cs ~ws tail =
+  let w = Codec.W.create () in
+  Codec.W.string w (Digest.to_hex (Digest.string (gs ^ cs ^ ws)));
+  List.iter (Codec.W.string w) [ gs; cs; ws ];
+  with_tmp ".plan" (fun path ->
+      Codec.write_framed path ~magic:Plan_store.magic ~version:Plan_store.version
+        (Codec.W.contents w ^ tail);
+      Plan_store.load ?expect_config path)
+
 (* The config section names the LP engine by a one-byte tag. Tag 0
    belonged to the retired full-tableau engine: such snapshots still
    load, as the sparse tableau (the engine a tag-0 constraint-generation
-   session ran). A tag no engine ever had is corrupt. The encoder can no
-   longer emit either, so the test forges them: it rewrites the tag byte
-   in the config section and recomputes the fingerprint over the
-   sections. *)
+   session ran). A tag no engine ever had is corrupt. *)
 let test_plan_lp_backend_tags () =
   let _, cfg, plan = square_plan () in
-  let with_lp b =
-    Offline.with_core R3_core.Config.(cfg.Offline.core |> with_lp_backend b) cfg
-  in
-  (* (graph, config, workload) sections and the raw routing tail *)
-  let sections path =
-    let payload =
-      ok_exn "frame"
-        (Codec.read_framed path ~magic:Plan_store.magic ~version:Plan_store.version)
-    in
-    let r = Codec.R.of_string payload in
-    ignore (Codec.R.string r);
-    let gs = Codec.R.string r in
-    let cs = Codec.R.string r in
-    let ws = Codec.R.string r in
-    let n = Codec.R.remaining r in
-    (gs, cs, ws, String.sub payload (String.length payload - n) n)
-  in
-  let saved b =
-    with_tmp ".plan" (fun path ->
-        Plan_store.save path ~config:(with_lp b) plan;
-        sections path)
-  in
-  let gs, cs, ws, tail = saved `Sparse in
-  let _, cs_rev, _, _ = saved `Revised in
-  (* the one byte where the two configs differ is the LP tag *)
-  let tag_at =
-    let rec find i = if cs.[i] <> cs_rev.[i] then i else find (i + 1) in
-    find 0
-  in
+  let gs, cs, ws, tail = snapshot_sections (with_lp `Sparse cfg) plan in
+  let _, cs_rev, _, _ = snapshot_sections (with_lp `Revised cfg) plan in
+  let tag_at = lp_tag_at cs cs_rev in
   Alcotest.(check int) "sparse tag" 1 (Char.code cs.[tag_at]);
   Alcotest.(check int) "revised tag" 2 (Char.code cs_rev.[tag_at]);
-  let load_with_tag tag =
-    let cs = Bytes.of_string cs in
-    Bytes.set cs tag_at (Char.chr tag);
-    let cs = Bytes.to_string cs in
-    let w = Codec.W.create () in
-    Codec.W.string w (Digest.to_hex (Digest.string (gs ^ cs ^ ws)));
-    List.iter (Codec.W.string w) [ gs; cs; ws ];
-    with_tmp ".plan" (fun path ->
-        Codec.write_framed path ~magic:Plan_store.magic ~version:Plan_store.version
-          (Codec.W.contents w ^ tail);
-        Plan_store.load path)
-  in
+  let load_with_tag tag = load_forged ~gs ~cs:(with_byte cs tag_at tag) ~ws tail in
   let plan', cfg' = ok_exn "tag 0" (load_with_tag 0) in
   check_plans_equal plan plan';
   Alcotest.(check bool) "tag 0 reports the tableau" true
     (cfg'.Offline.core.R3_core.Config.lp_backend = `Sparse);
   check_mentions "tag 3" "lp backend" (err_exn "tag 3" (load_with_tag 3))
+
+(* Snapshots once named a routing storage backend in the config section
+   (the byte after the LP tag) and in each routing (0 dense, 1 sparse,
+   2 auto), and a row payload could be dense (tag 0: one value per
+   link). Such snapshots load with the same dense image and MLU as the
+   sparse save, and match the config they were solved under; a tag that
+   never existed is corrupt. *)
+let test_plan_legacy_routing_tags () =
+  let g, cfg, plan = square_plan () in
+  let gs, cs, ws, _ = snapshot_sections (with_lp `Revised cfg) plan in
+  let _, cs_tab, _, _ = snapshot_sections (with_lp `Sparse cfg) plan in
+  let lp_at = lp_tag_at cs_tab cs in
+  Alcotest.(check int) "sparse routing tag" 1 (Char.code cs.[lp_at + 1]);
+  let routing ~tag ~row_tag rt =
+    let w = Codec.W.create () in
+    Codec.W.u8 w tag;
+    Codec.W.i32 w (Routing.num_commodities rt);
+    Array.iter
+      (fun (a, b) ->
+        Codec.W.i32 w a;
+        Codec.W.i32 w b)
+      (Routing.pairs rt);
+    for k = 0 to Routing.num_commodities rt - 1 do
+      Codec.W.u8 w row_tag;
+      if row_tag = 0 then Codec.W.float_array w (Routing.row_dense rt k)
+      else begin
+        let idx, v, n = Rowvec.raw (Routing.row_storage rt k) in
+        Codec.W.int_array w (Array.sub idx 0 n);
+        Codec.W.float_array w (Array.sub v 0 n)
+      end
+    done;
+    Codec.W.contents w
+  in
+  let stats =
+    let w = Codec.W.create () in
+    Codec.W.float w plan.Offline.mlu;
+    Codec.W.i32 w plan.Offline.f;
+    Codec.W.int w plan.Offline.lp_vars;
+    Codec.W.int w plan.Offline.lp_rows;
+    Codec.W.int w plan.Offline.lp_pivots;
+    Codec.W.contents w
+  in
+  (* The base routing is always written with legacy dense rows; the
+     protection routing's tags vary. *)
+  let load ~cfg_tag ~tag ~row_tag =
+    load_forged ~expect_config:cfg ~gs ~cs:(with_byte cs (lp_at + 1) cfg_tag) ~ws
+      (routing ~tag ~row_tag:0 plan.Offline.base
+      ^ routing ~tag ~row_tag plan.Offline.protection
+      ^ stats)
+  in
+  let mlu (p : Offline.plan) =
+    Routing.mlu g ~loads:(Routing.loads g ~demands:p.Offline.demands p.Offline.base)
+  in
+  List.iter
+    (fun tag ->
+      let what = Printf.sprintf "routing tag %d, dense rows" tag in
+      let plan', cfg' = ok_exn what (load ~cfg_tag:tag ~tag ~row_tag:0) in
+      check_plans_equal plan plan';
+      Alcotest.(check int64) (what ^ ": routed MLU bits")
+        (Int64.bits_of_float (mlu plan)) (Int64.bits_of_float (mlu plan'));
+      Alcotest.(check bool) (what ^ ": config") true (cfg = cfg'))
+    [ 0; 2 ];
+  check_mentions "row payload tag 2" "payload tag 2"
+    (err_exn "row payload tag 2" (load ~cfg_tag:1 ~tag:1 ~row_tag:2));
+  check_mentions "routing tag 3" "routing backend tag 3"
+    (err_exn "routing tag 3" (load ~cfg_tag:1 ~tag:3 ~row_tag:1));
+  check_mentions "config routing tag 3" "routing backend tag 3"
+    (err_exn "config routing tag 3" (load ~cfg_tag:3 ~tag:1 ~row_tag:1))
 
 let test_plan_inspect () =
   let g, cfg, plan = square_plan () in
@@ -339,6 +404,10 @@ let test_plan_inspect () =
       Alcotest.(check int) "f" 1 info.Plan_store.f;
       Alcotest.(check int64) "mlu bits" (Int64.bits_of_float plan.Offline.mlu)
         (Int64.bits_of_float info.Plan_store.mlu);
+      Alcotest.(check int) "base nnz" (Routing.nnz plan.Offline.base)
+        info.Plan_store.base_nnz;
+      Alcotest.(check int) "protection nnz" (Routing.nnz plan.Offline.protection)
+        info.Plan_store.protection_nnz;
       Alcotest.(check bool) "bytes matches file" true
         (info.Plan_store.bytes = String.length (read_file path)))
 
@@ -359,32 +428,27 @@ let test_traffic_roundtrip () =
 let test_row_storage_roundtrip () =
   let g = Topology.square () in
   let m = G.num_links g in
-  let mk backend =
-    Routing.create ~backend g ~pairs:[| (0, 2); (1, 3) |]
-  in
-  let r = mk Routing.Backend.Sparse in
-  (* Install one dense and one sparse payload, read them back, and
-     install them into a fresh routing: bits must survive the trip. *)
-  Routing.set_row_storage r 0 (`Dense (Array.init m (fun e -> float_of_int e /. 7.0)));
-  Routing.set_row_storage r 1
-    (`Sparse (Rowvec.of_sorted [| 1; 3 |] [| 0.25; 0.75 |] 2));
-  let r' = mk Routing.Backend.Dense in
+  let mk () = Routing.create g ~pairs:[| (0, 2); (1, 3) |] in
+  let r = mk () in
+  (* Install two rows, read them back, and install them into a fresh
+     routing: bits must survive the trip. *)
+  Routing.set_row_storage r 0
+    (Rowvec.of_dense (Array.init m (fun e -> float_of_int e /. 7.0)));
+  Routing.set_row_storage r 1 (Rowvec.of_sorted [| 1; 3 |] [| 0.25; 0.75 |] 2);
+  let r' = mk () in
   Routing.set_row_storage r' 0 (Routing.row_storage r 0);
   Routing.set_row_storage r' 1 (Routing.row_storage r 1);
   Alcotest.(check bool) "bits survive storage round-trip" true
     (routing_bits r = routing_bits r');
-  (* Validation: wrong dense width and out-of-range sparse index. *)
+  (* Validation: an index outside the link space. *)
   let expect_invalid name f =
     try
       f ();
       Alcotest.failf "%s: expected Invalid_argument" name
     with Invalid_argument _ -> ()
   in
-  expect_invalid "short dense row" (fun () ->
-      Routing.set_row_storage r 0 (`Dense [| 1.0 |]));
-  expect_invalid "sparse index out of range" (fun () ->
-      Routing.set_row_storage r 0
-        (`Sparse (Rowvec.of_sorted [| m |] [| 1.0 |] 1)))
+  expect_invalid "index out of range" (fun () ->
+      Routing.set_row_storage r 0 (Rowvec.of_sorted [| m |] [| 1.0 |] 1))
 
 (* ---- online checkpoint / resume ---- *)
 
@@ -394,13 +458,9 @@ let online_root () =
   let tm = Traffic.gravity rng g ~load_factor:0.3 () in
   let pairs, demands = Traffic.commodities tm in
   let weights = R3_net.Ospf.unit_weights g in
-  let backend = Routing.Backend.Sparse in
-  let base = R3_net.Ospf.routing g ~backend ~weights ~pairs () in
+  let base = R3_net.Ospf.routing g ~weights ~pairs () in
   let m = G.num_links g in
-  let p =
-    Routing.create ~backend g
-      ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e)))
-  in
+  let p = Routing.create g ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e))) in
   for l = 0 to m - 1 do
     let failed = G.fail_links g [ l ] in
     (match
@@ -514,8 +574,6 @@ let suite =
     Alcotest.test_case "frame rejections" `Quick test_frame_rejections;
     Alcotest.test_case "plan round-trip bit-identical" `Quick
       test_plan_roundtrip;
-    Alcotest.test_case "plan round-trip (dense backend)" `Quick
-      test_plan_roundtrip_dense_backend;
     Alcotest.test_case "reloaded plan passes Theorem 1" `Quick
       test_plan_survives_verification;
     Alcotest.test_case "wrong topology rejected" `Quick
@@ -523,6 +581,8 @@ let suite =
     Alcotest.test_case "corruption and version bump rejected" `Quick
       test_plan_corruption_rejected;
     Alcotest.test_case "legacy LP backend tags" `Quick test_plan_lp_backend_tags;
+    Alcotest.test_case "legacy routing tags and dense rows" `Quick
+      test_plan_legacy_routing_tags;
     Alcotest.test_case "plan inspect" `Quick test_plan_inspect;
     Alcotest.test_case "traffic matrix round-trip" `Quick
       test_traffic_roundtrip;

@@ -1,6 +1,7 @@
 (* Tests for the sparse routing-state substrate: the shared Rowvec
-   kernels and the contract that the Dense, Sparse, and Auto storage
-   backends of Routing.t are bit-identical under failure folding. *)
+   kernels and the contract that failure folding on Routing.t is
+   bit-identical to the dense-matrix reference of equations (8)-(10)
+   (R3_check.Fold_ref). *)
 
 module Rowvec = R3_util.Rowvec
 module Prng = R3_util.Prng
@@ -11,6 +12,7 @@ module Traffic = R3_net.Traffic
 module Spf = R3_net.Spf
 module Reconfig = R3_core.Reconfig
 module Scenario = R3_core.Scenario
+module Fold_ref = R3_check.Fold_ref
 
 (* Physical (bidirectional) failure of one link as a singleton delta. *)
 let fail_bidir g st e = Reconfig.fail st (Scenario.of_links g [ e ])
@@ -110,17 +112,14 @@ let test_rowvec_merged_matches_dense () =
       expect
   done
 
-(* ---- backend bit-identity under failure folding ---- *)
+(* ---- failure folding against the dense reference ---- *)
 
 (* Same synthetic protection shape as the reconfig bench: the SPF detour
    path around each link, or the self row when the failure disconnects. *)
-let synthetic_protection g ~backend =
+let synthetic_protection g =
   let weights = R3_net.Ospf.unit_weights g in
   let m = G.num_links g in
-  let p =
-    Routing.create ~backend g
-      ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e)))
-  in
+  let p = Routing.create g ~pairs:(Array.init m (fun e -> (G.src g e, G.dst g e))) in
   for l = 0 to m - 1 do
     let failed = G.fail_links g [ l ] in
     match
@@ -131,22 +130,26 @@ let synthetic_protection g ~backend =
   done;
   p
 
-let make_state g ~backend ~seed =
+let make_state g ~seed =
   let rng = Prng.create seed in
   let tm = Traffic.gravity rng g ~load_factor:0.3 () in
   let pairs, demands = Traffic.commodities tm in
   let weights = R3_net.Ospf.unit_weights g in
-  let base = R3_net.Ospf.routing g ~backend ~weights ~pairs () in
-  let protection = synthetic_protection g ~backend in
+  let base = R3_net.Ospf.routing g ~weights ~pairs () in
+  let protection = synthetic_protection g in
   Reconfig.make g ~pairs ~demands ~base ~protection
 
-let backends = Routing.Backend.[ Dense; Sparse; Auto ]
+let check_reference ctx reference st =
+  match Fold_ref.mismatch reference st with
+  | None -> ()
+  | Some d -> Alcotest.failf "%s: %s" ctx d
 
-(* Randomized failure sequences: after every step, all three backends
-   must be bit-identical, and folding the whole sequence with
-   [apply_failures] must equal the step-by-step fold. *)
+(* Randomized failure sequences from the pristine state. After every
+   round the sparse row storage must hold the dense reference's bits,
+   both stepped (physical [fail] and directed [apply_failures]) and
+   folded in one [apply_failures] call. *)
 let check_backend_identity g ~seed ~rounds ~max_fail =
-  let states = List.map (fun b -> make_state g ~backend:b ~seed) backends in
+  let st = make_state g ~seed in
   let rng = Prng.create (seed + 1) in
   let m = G.num_links g in
   for round = 1 to rounds do
@@ -154,32 +157,21 @@ let check_backend_identity g ~seed ~rounds ~max_fail =
     let links =
       List.init nfail (fun _ -> (Prng.int rng m, Prng.int rng 2 = 0))
     in
-    let fold st =
+    let stepped, reference =
       List.fold_left
-        (fun st (e, bidir) ->
-          if bidir then fail_bidir g st e else Reconfig.apply_failures st [ e ])
-        st links
+        (fun (st, r) (e, bidir) ->
+          if bidir then
+            let sc = Scenario.of_links g [ e ] in
+            (Reconfig.fail st sc, Fold_ref.fail r (Scenario.links sc))
+          else (Reconfig.apply_failures st [ e ], Fold_ref.fail r [ e ]))
+        (st, Fold_ref.of_state st) links
     in
-    let stepped = List.map fold states in
-    let reference = List.hd stepped in
-    List.iteri
-      (fun i st ->
-        if not (Reconfig.states_bit_identical reference st) then
-          Alcotest.failf "round %d: backend #%d diverged from dense" round i)
-      stepped;
-    (* fold equivalence on the plain (unidirectional) sequence *)
+    check_reference (Printf.sprintf "round %d" round) reference stepped;
     let plain = List.map fst links in
-    let folded = List.map (fun st -> Reconfig.apply_failures st plain) states in
-    let ref_folded =
-      List.fold_left
-        (fun st e -> Reconfig.apply_failures st [ e ])
-        (List.hd states) plain
-    in
-    List.iteri
-      (fun i st ->
-        if not (Reconfig.states_bit_identical ref_folded st) then
-          Alcotest.failf "round %d: apply_failures backend #%d diverged" round i)
-      folded
+    check_reference
+      (Printf.sprintf "round %d apply_failures" round)
+      (Fold_ref.fail (Fold_ref.of_state st) plain)
+      (Reconfig.apply_failures st plain)
   done
 
 let test_backend_identity_abilene () =
@@ -197,13 +189,14 @@ let test_backend_identity_random () =
    parent or sibling states (payload sharing stays invisible). *)
 let test_cow_isolation () =
   let g = Topology.abilene () in
-  let st = make_state g ~backend:Routing.Backend.Sparse ~seed:9 in
-  let st_d = make_state g ~backend:Routing.Backend.Dense ~seed:9 in
+  let st = make_state g ~seed:9 in
+  let reference =
+    Fold_ref.fail (Fold_ref.of_state st)
+      (Scenario.links (Scenario.of_links g [ 0 ]))
+  in
   let before = Routing.to_dense_matrix st.Reconfig.base in
   let child = fail_bidir g st 0 in
-  let child_d = fail_bidir g st_d 0 in
-  Alcotest.(check bool) "dense/sparse children agree" true
-    (Reconfig.states_bit_identical child_d child);
+  check_reference "child" reference child;
   (* parent unchanged by the fold *)
   Alcotest.(check bool) "parent base intact" true
     (Routing.to_dense_matrix st.Reconfig.base = before);
@@ -214,8 +207,7 @@ let test_cow_isolation () =
   (* ...and writing into the parent must not corrupt another child *)
   let child2 = fail_bidir g st 0 in
   Routing.set st.Reconfig.base 0 2 0.456;
-  Alcotest.(check bool) "children isolated from parent writes" true
-    (Reconfig.states_bit_identical child_d child2)
+  check_reference "children isolated from parent writes" reference child2
 
 (* Stepping the same root state from several domains at once (the sweep
    engine's access pattern) must be race-free: the fold seals the parent
@@ -225,7 +217,7 @@ let test_cow_isolation () =
 let test_parallel_fold_from_shared_root () =
   let g = Topology.abilene () in
   let m = G.num_links g in
-  let mk () = make_state g ~backend:Routing.Backend.Sparse ~seed:21 in
+  let mk () = make_state g ~seed:21 in
   let rng = Prng.create 22 in
   let seqs =
     Array.init 24 (fun _ -> List.init 3 (fun _ -> Prng.int rng m))
@@ -247,7 +239,7 @@ let test_parallel_fold_from_shared_root () =
 
 (* A failure chain longer than the overlay cap exercises index
    compaction (the child drops the inherited index and rebuilds from its
-   own rows); results must stay bit-identical to the dense full scan. *)
+   own rows); results must stay bit-identical to the dense reference. *)
 let test_long_chain_identity () =
   let g =
     Topology.random ~seed:23 ~nodes:16 ~undirected_links:30
@@ -257,38 +249,10 @@ let test_long_chain_identity () =
   let m = G.num_links g in
   let rng = Prng.create 24 in
   let links = List.init 24 (fun _ -> Prng.int rng m) in
-  let final =
-    List.map
-      (fun b ->
-        List.fold_left
-          (fun st e -> Reconfig.apply_failures st [ e ])
-          (make_state g ~backend:b ~seed:11)
-          links)
-      backends
-  in
-  let reference = List.hd final in
-  List.iteri
-    (fun i st ->
-      if not (Reconfig.states_bit_identical reference st) then
-        Alcotest.failf "long chain: backend #%d diverged from dense" (i + 1))
-    (List.tl final)
-
-(* Auto backend flips a row to dense storage once it outgrows the nnz
-   ratio; values must be unaffected. *)
-let test_auto_densifies () =
-  let g = Topology.abilene () in
-  let m = G.num_links g in
-  let pairs = [| (0, 5) |] in
-  let auto = Routing.create ~backend:Routing.Backend.Auto g ~pairs in
-  let dense = Routing.create ~backend:Routing.Backend.Dense g ~pairs in
-  for e = 0 to m - 1 do
-    let x = 1.0 /. float_of_int (e + 2) in
-    Routing.set auto 0 e x;
-    Routing.set dense 0 e x
-  done;
-  Alcotest.(check int) "auto row flipped to dense" 1 (Routing.dense_rows auto);
-  Alcotest.(check bool) "auto values match dense" true
-    (Routing.row_dense auto 0 = Routing.row_dense dense 0)
+  let st = make_state g ~seed:11 in
+  check_reference "long chain"
+    (Fold_ref.fail (Fold_ref.of_state st) links)
+    (List.fold_left (fun st e -> Reconfig.apply_failures st [ e ]) st links)
 
 (* ---- native-storage bit comparison ---- *)
 
@@ -300,12 +264,12 @@ let densified_bit_identical a b =
   in
   bits a = bits b
 
-(* Random routings whose rows mix dense payloads, sparse payloads with
-   explicit [+0.0] and [-0.0] entries, and payloads shared copy-on-write
-   with the routing they are compared to. The second routing either
-   shares a row, re-stores the same dense image (possibly in the other
-   representation, with different explicit zeros), or perturbs one entry
-   — including [+0.0] <-> [-0.0] sign flips, which only bits can see. *)
+(* Random routings whose rows hold explicit [+0.0], [-0.0] and NaN
+   entries, and payloads shared copy-on-write with the routing they are
+   compared to. The second routing either shares a row, re-stores the
+   same dense image (with different explicit zeros), or perturbs one
+   entry — including [+0.0] <-> [-0.0] sign flips, which only bits can
+   see. *)
 let test_native_bit_compare () =
   let rng = Prng.create 7 in
   let g = Topology.abilene () in
@@ -315,20 +279,17 @@ let test_native_bit_compare () =
     Array.init m (fun _ -> if Prng.int rng 5 = 0 then Prng.choose rng pool else 0.0)
   in
   let storage img =
-    if Prng.bool rng 0.5 then `Dense (Array.copy img)
-    else begin
-      let idx = ref [] and v = ref [] in
-      for e = m - 1 downto 0 do
-        let x = img.(e) in
-        let explicit_zero = Prng.int rng 8 = 0 in
-        if Int64.bits_of_float x <> 0L || explicit_zero then begin
-          idx := e :: !idx;
-          v := x :: !v
-        end
-      done;
-      let idx = Array.of_list !idx and v = Array.of_list !v in
-      `Sparse (Rowvec.of_sorted idx v (Array.length idx))
-    end
+    let idx = ref [] and v = ref [] in
+    for e = m - 1 downto 0 do
+      let x = img.(e) in
+      let explicit_zero = Prng.int rng 8 = 0 in
+      if Int64.bits_of_float x <> 0L || explicit_zero then begin
+        idx := e :: !idx;
+        v := x :: !v
+      end
+    done;
+    let idx = Array.of_list !idx and v = Array.of_list !v in
+    Rowvec.of_sorted idx v (Array.length idx)
   in
   let perturb img =
     let img = Array.copy img in
@@ -344,7 +305,7 @@ let test_native_bit_compare () =
   for _ = 1 to 600 do
     let nk = 1 + Prng.int rng 6 in
     let pairs = Array.make nk (0, 1) in
-    let a = Routing.create ~backend:Routing.Backend.Auto g ~pairs in
+    let a = Routing.create g ~pairs in
     let imgs = Array.init nk (fun _ -> image ()) in
     Array.iteri (fun k img -> Routing.set_row_storage a k (storage img)) imgs;
     let b = Routing.copy a in
@@ -385,7 +346,6 @@ let suite =
     Alcotest.test_case "parallel fold from shared root" `Quick
       test_parallel_fold_from_shared_root;
     Alcotest.test_case "long chain identity" `Quick test_long_chain_identity;
-    Alcotest.test_case "auto densifies" `Quick test_auto_densifies;
     Alcotest.test_case "native bit compare = densified" `Quick
       test_native_bit_compare;
   ]
